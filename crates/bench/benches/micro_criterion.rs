@@ -29,8 +29,31 @@ fn bench_knapsack(c: &mut Criterion) {
             size: Bytes(1 + rng.u64() % (64 << 20)),
         })
         .collect();
+    // Random byte sizes: gcd 1 and a total far above capacity, so the
+    // reachable-size lattice spans the full 4,096-granule table.
     c.bench_function("knapsack_dp_96_items_256MB", |b| {
         b.iter(|| solve(black_box(&items), Bytes::mib(256)))
+    });
+    // Shaped like the sweep's solves. Sizes sharing a 6 MiB factor put the
+    // lattice step at 96 granules (a 43-column table) although not every
+    // item fits; and when every item fits, the table stops at their sum.
+    let factored: Vec<Item> = (0..17)
+        .map(|_| Item {
+            weight: rng.range_f64(0.1, 10.0),
+            size: Bytes::mib(6 * (1 + rng.u64() % 8)),
+        })
+        .collect();
+    c.bench_function("knapsack_dp_17_items_6MiB_factor_256MB", |b| {
+        b.iter(|| solve(black_box(&factored), Bytes::mib(256)))
+    });
+    let all_fit: Vec<Item> = (0..65)
+        .map(|_| Item {
+            weight: rng.range_f64(0.1, 10.0),
+            size: Bytes(1 + rng.u64() % (1 << 20)),
+        })
+        .collect();
+    c.bench_function("knapsack_dp_65_items_all_fit_256MB", |b| {
+        b.iter(|| solve(black_box(&all_fit), Bytes::mib(256)))
     });
 }
 

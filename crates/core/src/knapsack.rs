@@ -6,10 +6,29 @@
 //! programming in pseudo-polynomial time." (§3.1.3)
 //!
 //! Sizes are bytes (up to hundreds of MiB), so the DP quantizes capacity
-//! into a bounded number of granules — items' sizes round **up** (never
-//! overcommit DRAM) and optimality holds at granule resolution, which is
-//! orders of magnitude finer than object sizes. Items with non-positive
-//! weight are never selected (leaving an object in NVM costs nothing).
+//! into at most [`MAX_GRANULES`] granules of `ceil(capacity / 4096)` bytes
+//! ([`granule_for`]) — items' sizes round **up** (never overcommit DRAM)
+//! and optimality holds at granule resolution, which is orders of
+//! magnitude finer than object sizes. Items with non-positive weight are
+//! never selected (leaving an object in NVM costs nothing).
+//!
+//! The DP table covers only the totals a selection can reach, and this is
+//! exact, not an approximation. Let `cap_g` be the capacity in granules,
+//! `g` the gcd of the viable items' granule sizes and `Σ` their sum. Every
+//! selection's total is a multiple of `g` and at most `Σ`, so the table has
+//! `min(cap_g, Σ) / g + 1` columns and an item of `s` granules spans
+//! `s / g` of them. By induction over the items, a full `cap_g + 1`-column
+//! table holds:
+//! - the same value and decision bit in every column of one `g`-block,
+//!   because an item's pass at `c` reads `c - s`, which lies in the
+//!   matching block;
+//! - the same value and decision bit in every column from `Σ` upward,
+//!   because that read lands at or above the sum of the earlier items.
+//!
+//! f64 addition is monotone, so the table is non-decreasing in capacity
+//! and its top column holds the optimum; reconstruction starts there. The
+//! chosen indices and the bits of the achieved weight are therefore those
+//! of the full table.
 
 use unimem_sim::Bytes;
 
@@ -46,7 +65,6 @@ pub fn solve(items: &[Item], capacity: Bytes) -> (Vec<usize>, f64) {
         return (Vec::new(), 0.0);
     }
 
-    // Granule: smallest power-of-two-free unit keeping the table bounded.
     let granule = granule_for(capacity);
     let cap_g = (capacity.get() / granule) as usize;
     // Size in granules, rounded up so a selection never exceeds capacity.
@@ -54,21 +72,25 @@ pub fn solve(items: &[Item], capacity: Bytes) -> (Vec<usize>, f64) {
         .iter()
         .map(|&i| (items[i].size.get().div_ceil(granule)) as usize)
         .collect();
+    // Reachable-size lattice (see the module docs): columns are multiples
+    // of the sizes' gcd, up to the smaller of capacity and their sum.
+    let g = size_g.iter().fold(0, |a, &s| gcd(a, s));
+    let top = cap_g.min(size_g.iter().sum()) / g;
 
     // DP over capacity (1-D reverse sweep). `took[k]` records, per capacity,
     // whether item k's pass improved the optimum there — i.e. whether the
     // optimum over items 0..=k at that capacity includes item k. That is
     // exactly the decision bit the standard 2-D reconstruction needs.
-    let words = (cap_g + 1).div_ceil(64);
-    let mut best = vec![0.0f64; cap_g + 1];
+    let words = (top + 1).div_ceil(64);
+    let mut best = vec![0.0f64; top + 1];
     let mut took = vec![vec![0u64; words]; viable.len()];
     for (k, &i) in viable.iter().enumerate() {
         let w = items[i].weight;
-        let s = size_g[k];
-        if s > cap_g {
+        let s = size_g[k] / g;
+        if s > top {
             continue;
         }
-        for c in (s..=cap_g).rev() {
+        for c in (s..=top).rev() {
             let cand = best[c - s] + w;
             if cand > best[c] {
                 best[c] = cand;
@@ -77,24 +99,25 @@ pub fn solve(items: &[Item], capacity: Bytes) -> (Vec<usize>, f64) {
         }
     }
 
-    // total_cmp: the table only ever holds sums of finite positive weights
-    // (NaN weights fail the `> 0.0` viability filter above), but the solver
-    // must not be able to panic on adversarial input.
-    let (mut c, _) = best
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .expect("non-empty table");
+    // `best` is non-decreasing in capacity, so the top column is optimal.
+    let mut c = top;
     let achieved = best[c];
     let mut chosen = Vec::new();
     for k in (0..viable.len()).rev() {
         if took[k][c / 64] & (1 << (c % 64)) != 0 {
             chosen.push(viable[k]);
-            c -= size_g[k];
+            c -= size_g[k] / g;
         }
     }
     chosen.sort_unstable();
     (chosen, achieved)
+}
+
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Exhaustive reference solver for testing (n ≤ 20).
@@ -222,6 +245,28 @@ mod tests {
         let (chosen, w) = solve(&items, Bytes(100));
         assert_eq!(chosen, vec![1]);
         assert!((w - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn capacity_far_above_total_size_takes_every_item() {
+        // Σ size = 60 bytes against 1 GiB: the table stops at the sum.
+        let items = [it(1.0, 10), it(2.0, 20), it(-1.0, 5), it(4.0, 30)];
+        let (chosen, w) = solve(&items, Bytes::gib(1));
+        assert_eq!(chosen, vec![0, 1, 3]);
+        assert_eq!(w.to_bits(), (1.0f64 + 2.0 + 4.0).to_bits());
+    }
+
+    #[test]
+    fn common_size_factor_is_exact() {
+        // Sizes 3, 6 and 9 MiB share a factor: at 16 MiB (4 KiB granule)
+        // the lattice step is 768 granules, at 14 MiB it is 878.
+        let items = [it(2.0, 3 << 20), it(5.0, 6 << 20), it(4.0, 9 << 20)];
+        let (chosen, w) = solve(&items, Bytes::mib(16));
+        assert_eq!(chosen, vec![1, 2]);
+        assert_eq!(w.to_bits(), 9.0f64.to_bits());
+        let (chosen, w) = solve(&items, Bytes::mib(14));
+        assert_eq!(chosen, vec![0, 1]);
+        assert_eq!(w.to_bits(), 7.0f64.to_bits());
     }
 
     #[test]

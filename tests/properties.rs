@@ -233,6 +233,125 @@ proptest! {
     }
 }
 
+/// The fixed-width knapsack DP, kept as a test-only oracle: the same
+/// granule, viability filter and `cand > best[c]` rule as `solve`, but a
+/// table of `cap_g + 1` columns at granule resolution and an argmax over
+/// it (`max_by` keeps the last maximal column). `solve` sizes its table by
+/// the reachable-size lattice instead and must agree with this bit for bit.
+fn solve_full_width(items: &[Item], capacity: Bytes) -> (Vec<usize>, f64) {
+    let viable: Vec<usize> = items
+        .iter()
+        .enumerate()
+        .filter(|(_, it)| it.weight > 0.0 && !it.size.is_zero() && it.size <= capacity)
+        .map(|(i, _)| i)
+        .collect();
+    if viable.is_empty() || capacity.is_zero() {
+        return (Vec::new(), 0.0);
+    }
+    let granule = granule_for(capacity);
+    let cap_g = (capacity.get() / granule) as usize;
+    let size_g: Vec<usize> = viable
+        .iter()
+        .map(|&i| (items[i].size.get().div_ceil(granule)) as usize)
+        .collect();
+    let words = (cap_g + 1).div_ceil(64);
+    let mut best = vec![0.0f64; cap_g + 1];
+    let mut took = vec![vec![0u64; words]; viable.len()];
+    for (k, &i) in viable.iter().enumerate() {
+        let w = items[i].weight;
+        let s = size_g[k];
+        if s > cap_g {
+            continue;
+        }
+        for c in (s..=cap_g).rev() {
+            let cand = best[c - s] + w;
+            if cand > best[c] {
+                best[c] = cand;
+                took[k][c / 64] |= 1 << (c % 64);
+            }
+        }
+    }
+    let (mut c, _) = best
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .expect("non-empty table");
+    let achieved = best[c];
+    let mut chosen = Vec::new();
+    for k in (0..viable.len()).rev() {
+        if took[k][c / 64] & (1 << (c % 64)) != 0 {
+            chosen.push(viable[k]);
+            c -= size_g[k];
+        }
+    }
+    chosen.sort_unstable();
+    (chosen, achieved)
+}
+
+/// Decodes one generated weight: zero, negative, NaN, ±inf, or a positive
+/// weight from 1e-3..1e3 or 1e-300..1e300 (so one instance mixes
+/// magnitudes whose f64 sums absorb the small ones).
+fn lattice_weight(class: u64, exp: f64) -> f64 {
+    match class {
+        0 => 0.0,
+        1 => -(10f64.powf(exp)),
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        5..=9 => 10f64.powf(exp / 100.0),
+        _ => 10f64.powf(exp),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `solve` on the reachable-size lattice returns exactly what the
+    /// fixed-width DP returns: the same indices and the same `achieved`
+    /// bits. Most sizes are a common factor (a multiple of the granule)
+    /// times a small multiplier, less a sub-granule jitter, so the gcd at
+    /// granule resolution exceeds 1 unless `noisy` mixes in arbitrary
+    /// sizes; the rest are zero or above capacity. With `fit`, items are
+    /// cut off once their total would pass capacity, so both
+    /// `Σ size ≤ capacity` and `Σ size > capacity` occur. Up to 129 items,
+    /// the sweep's largest solve.
+    #[test]
+    fn knapsack_lattice_matches_fixed_width_bit_for_bit(
+        cap in prop_oneof![1u64..4096, 4096u64..16_777_216, 16_777_216u64..17_179_869_184],
+        step in 1u64..64,
+        max_mult in 1u64..24,
+        (fit, noisy) in (any::<bool>(), any::<bool>()),
+        spec in prop::collection::vec(
+            (0u64..16, any::<u64>(), 0u64..16, -300.0f64..300.0),
+            0..130,
+        ),
+    ) {
+        let granule = granule_for(Bytes(cap));
+        let unit = granule * step;
+        let mut items = Vec::new();
+        let mut total = 0u64;
+        for &(size_class, r, weight_class, exp) in &spec {
+            let size = match size_class {
+                0 => 0,
+                1 => cap + 1 + r % cap,
+                2 if noisy => 1 + r % cap,
+                _ => (unit * (1 + r % max_mult)).saturating_sub((r >> 32) % granule),
+            };
+            if fit && size <= cap {
+                if total + size > cap {
+                    break;
+                }
+                total += size;
+            }
+            items.push(Item { weight: lattice_weight(weight_class, exp), size: Bytes(size) });
+        }
+        let (chosen, achieved) = solve(&items, Bytes(cap));
+        let (want, want_w) = solve_full_width(&items, Bytes(cap));
+        prop_assert_eq!(&chosen, &want, "items {:?} cap {}", items, cap);
+        prop_assert_eq!(achieved.to_bits(), want_w.to_bits(), "{} vs {}", achieved, want_w);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
