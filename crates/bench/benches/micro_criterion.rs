@@ -2,8 +2,9 @@
 //!
 //! These measure the *real* cost of the pieces the simulation charges
 //! virtual costs for: the knapsack solver, the sampler, the analytic cache
-//! model, the real helper thread + FIFO queue (actual memcpy between the
-//! accounted pools), mini-MPI collectives, and a full driver step.
+//! model, the contended-bandwidth query, the real helper thread + FIFO
+//! queue (actual memcpy between the accounted pools), mini-MPI
+//! collectives, and a full driver step.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -14,11 +15,11 @@ use unimem_cache::{AccessPattern, CacheModel, ObjAccess};
 use unimem_hms::object::ObjId;
 use unimem_hms::pools::{HelperThread, RealHms};
 use unimem_hms::tier::TierKind;
-use unimem_hms::MachineConfig;
+use unimem_hms::{FlowScope, MachineConfig, SharedBandwidth};
 use unimem_mpi::{CommWorld, NetParams};
 use unimem_perf::kernels::{build_chase_ring, pointer_chase, stream_triad};
 use unimem_perf::sampler::{GroundTruth, Sampler, SamplerConfig};
-use unimem_sim::{Bytes, DetRng, VDur};
+use unimem_sim::{Bytes, DetRng, VDur, VTime};
 use unimem_workloads::{by_name, Class};
 
 fn bench_knapsack(c: &mut Criterion) {
@@ -96,6 +97,48 @@ fn bench_cache_model(c: &mut Criterion) {
     });
 }
 
+fn bench_contention(c: &mut Criterion) {
+    // One node, 4 ranks (4 ledger owners), 8 helper copies = 16 flows:
+    // half fenced into the last epoch, half in flight over the window.
+    let m = MachineConfig::nvm_bw_fraction(0.5).with_ranks_per_node(4);
+    let shared = SharedBandwidth::new(&m, 4);
+    let clients: Vec<_> = (0..4).map(|r| shared.client(r)).collect();
+    for (i, cl) in clients.iter().enumerate() {
+        let to = if i % 2 == 0 {
+            TierKind::Dram
+        } else {
+            TierKind::Nvm
+        };
+        cl.post_copy(to, VTime(0.0), VTime(0.004), Bytes::mib(8));
+    }
+    for cl in &clients {
+        cl.fence(VTime(0.01));
+    }
+    for (i, cl) in clients.iter().enumerate() {
+        let to = if i % 2 == 0 {
+            TierKind::Nvm
+        } else {
+            TierKind::Dram
+        };
+        cl.post_copy(to, VTime(0.011), VTime(0.015), Bytes::mib(8));
+    }
+    let (me, w0, w1) = (&clients[0], VTime(0.01), VTime(0.02));
+    c.bench_function("bw_contended_one_visit_16_flows_4_owners", |b| {
+        b.iter(|| black_box(me).contended(w0, w1))
+    });
+    c.bench_function("bw_effective_x4_16_flows_4_owners", |b| {
+        b.iter(|| {
+            let me = black_box(me);
+            [
+                me.effective(TierKind::Dram, w0, w1, FlowScope::Own),
+                me.effective(TierKind::Nvm, w0, w1, FlowScope::Own),
+                me.effective(TierKind::Dram, w0, w1, FlowScope::All),
+                me.effective(TierKind::Nvm, w0, w1, FlowScope::All),
+            ]
+        })
+    });
+}
+
 fn bench_helper_thread(c: &mut Criterion) {
     c.bench_function("helper_thread_migrate_4MB", |b| {
         let hms = RealHms::new(Bytes::mib(512));
@@ -158,6 +201,7 @@ criterion_group!(
     targets = bench_knapsack,
     bench_sampler,
     bench_cache_model,
+    bench_contention,
     bench_helper_thread,
     bench_collectives,
     bench_driver,

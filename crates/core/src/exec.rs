@@ -35,13 +35,13 @@
 use crate::policy::{PlacementPolicy, RankInit, RankState, StepEnv, TierView};
 use crate::search::SearchKind;
 use crate::stats::RunStats;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Mutex;
-use unimem_cache::{CacheModel, ObjAccess};
-use unimem_hms::contention::{BwClient, FlowScope, SharedBandwidth};
+use unimem_cache::{CacheModel, MissEstimate, ObjAccess};
+use unimem_hms::contention::{BwClient, FlowScope, SharedBandwidth, TierPair};
 use unimem_hms::journal::{DurabilityMode, Journal, JournalHandle, JournalStats, ObsUnit, Record};
-use unimem_hms::object::{ObjectRegistry, ObjectSpec, UnitId};
-use unimem_hms::tier::{AccessMix, TierKind, TierParams};
+use unimem_hms::object::{DataObject, ObjectRegistry, ObjectSpec, UnitId};
+use unimem_hms::tier::{AccessMix, TierKind};
 use unimem_hms::topology::ClusterTopology;
 use unimem_hms::{DramService, MachineConfig};
 use unimem_mpi::{
@@ -1013,6 +1013,124 @@ struct AccessSite {
     miss_bytes: Bytes,
     mlp: f64,
     mix: AccessMix,
+    /// The site's pass-1 time, at the rank's plain node share.
+    t_base: VDur,
+}
+
+impl AccessSite {
+    /// A site of `est` traffic from access `a`, timed at `base`.
+    fn new(
+        unit: UnitId,
+        tier: TierKind,
+        est: MissEstimate,
+        a: &ObjAccess,
+        base: &TierPair,
+    ) -> AccessSite {
+        let mut site = AccessSite {
+            unit,
+            tier,
+            misses: est.misses,
+            miss_bytes: est.miss_bytes,
+            mlp: a.pattern.mlp(),
+            mix: a.mix,
+            t_base: VDur::ZERO,
+        };
+        site.t_base = site.time(base);
+        site
+    }
+
+    fn time(&self, tiers: &TierPair) -> VDur {
+        tiers
+            .get(self.tier)
+            .access_time(self.misses, self.miss_bytes, self.mlp, self.mix)
+    }
+}
+
+/// Every access descriptor of `spec` that misses, as one placement unit
+/// of its object sees it: the per-unit descriptor, its miss estimate and
+/// the object. A chunked object splits each descriptor evenly across its
+/// chunks, so one estimate serves all of its units.
+fn unit_accesses<'a>(
+    spec: &'a ComputeSpec,
+    registry: &'a ObjectRegistry,
+    cache: &'a CacheModel,
+) -> impl Iterator<Item = (ObjAccess, MissEstimate, &'a DataObject)> + 'a {
+    let phase_total: Bytes = spec.accesses.iter().map(|a| a.touched).sum();
+    spec.accesses.iter().filter_map(move |acc| {
+        let obj = registry.get(acc.obj);
+        let chunks = obj.chunks;
+        let a = if chunks == 1 {
+            *acc
+        } else {
+            acc.scaled(1.0 / f64::from(chunks))
+        };
+        let est = cache.misses(&a, phase_total);
+        (est.misses != 0).then_some((a, est, obj))
+    })
+}
+
+/// Number of placement units `spec` touches (sites per view, at most).
+fn unit_count(spec: &ComputeSpec, registry: &ObjectRegistry) -> usize {
+    spec.accesses
+        .iter()
+        .map(|a| usize::from(registry.get(a.obj).chunks))
+        .sum()
+}
+
+/// Sites under explicit residency sets: each unit's traffic goes wholly
+/// to DRAM (members of `in_dram`, or everything when `all_dram`) or NVM.
+fn set_sites(
+    spec: &ComputeSpec,
+    registry: &ObjectRegistry,
+    cache: &CacheModel,
+    base: &TierPair,
+    in_dram: &BTreeSet<UnitId>,
+    all_dram: bool,
+) -> Vec<AccessSite> {
+    let mut sites = Vec::with_capacity(unit_count(spec, registry));
+    for (a, est, obj) in unit_accesses(spec, registry, cache) {
+        for unit in obj.units() {
+            let tier = if all_dram || in_dram.contains(&unit) {
+                TierKind::Dram
+            } else {
+                TierKind::Nvm
+            };
+            sites.push(AccessSite::new(unit, tier, est, &a, base));
+        }
+    }
+    sites
+}
+
+/// Sites under a hardware DRAM cache with hit fraction `hit`: each
+/// unit's traffic splits into a DRAM part and an NVM part (misses
+/// rounded, bytes conserved); an empty part is no site.
+fn fraction_sites(
+    spec: &ComputeSpec,
+    registry: &ObjectRegistry,
+    cache: &CacheModel,
+    base: &TierPair,
+    hit: f64,
+) -> Vec<AccessSite> {
+    let hit = hit.clamp(0.0, 1.0);
+    let mut sites = Vec::with_capacity(2 * unit_count(spec, registry));
+    for (a, est, obj) in unit_accesses(spec, registry, cache) {
+        let dram = MissEstimate {
+            misses: ((est.misses as f64) * hit).round() as u64,
+            miss_bytes: Bytes((est.miss_bytes.as_f64() * hit).round() as u64),
+        };
+        let nvm = MissEstimate {
+            misses: est.misses - dram.misses,
+            miss_bytes: est.miss_bytes - dram.miss_bytes,
+        };
+        for unit in obj.units() {
+            for (tier, part) in [(TierKind::Dram, dram), (TierKind::Nvm, nvm)] {
+                if part.misses != 0 {
+                    sites.push(AccessSite::new(unit, tier, part, &a, base));
+                }
+            }
+        }
+    }
+    sites
 }
 
 /// Compute ground-truth phase time and per-unit sampler inputs for a
@@ -1028,7 +1146,15 @@ struct AccessSite {
 /// The placement [`TierView`] decides each site's tier: explicit
 /// residency sets route a unit wholly to one tier, while the hardware
 /// cache's hit fraction splits a site into a DRAM part and an NVM part
-/// (misses rounded, bytes conserved).
+/// (misses rounded, bytes conserved). Each view has its own site loop,
+/// and the miss model runs once per access descriptor.
+///
+/// The contended parameters come from one ledger visit per phase
+/// ([`BwClient::contended`]: all four tier lanes, own and all flows).
+/// A view whose every lane load is exactly zero is bit-identical to the
+/// plain node share, so its pass is skipped: the own-only time is the
+/// pass-1 time, and the full time reuses each site's pass-1 time. Most
+/// phases see no helper traffic at all and cost one timing pass.
 fn ground_truth(
     spec: &ComputeSpec,
     registry: &ObjectRegistry,
@@ -1037,94 +1163,37 @@ fn ground_truth(
     bw: &BwClient,
     now: VTime,
 ) -> (VDur, Vec<GroundTruth>, PhaseContention) {
-    let phase_total: Bytes = spec.accesses.iter().map(|a| a.touched).sum();
-    let mut sites: Vec<AccessSite> = Vec::new();
-    for acc in &spec.accesses {
-        let obj = registry.get(acc.obj);
-        let chunks = obj.chunks;
-        let frac = 1.0 / f64::from(chunks);
-        for unit in obj.units() {
-            let a = if chunks == 1 { *acc } else { acc.scaled(frac) };
-            let est = cache.misses(&a, phase_total);
-            if est.misses == 0 {
-                continue;
-            }
-            match view {
-                TierView::Sets { in_dram, all_dram } => {
-                    let tier = if all_dram || in_dram.contains(&unit) {
-                        TierKind::Dram
-                    } else {
-                        TierKind::Nvm
-                    };
-                    sites.push(AccessSite {
-                        unit,
-                        tier,
-                        misses: est.misses,
-                        miss_bytes: est.miss_bytes,
-                        mlp: a.pattern.mlp(),
-                        mix: a.mix,
-                    });
-                }
-                TierView::Fraction(hit) => {
-                    let hit = hit.clamp(0.0, 1.0);
-                    let dram_misses = ((est.misses as f64) * hit).round() as u64;
-                    let dram_bytes = Bytes((est.miss_bytes.as_f64() * hit).round() as u64);
-                    let nvm_misses = est.misses - dram_misses;
-                    let nvm_bytes = est.miss_bytes - dram_bytes;
-                    for (tier, misses, miss_bytes) in [
-                        (TierKind::Dram, dram_misses, dram_bytes),
-                        (TierKind::Nvm, nvm_misses, nvm_bytes),
-                    ] {
-                        if misses == 0 {
-                            continue;
-                        }
-                        sites.push(AccessSite {
-                            unit,
-                            tier,
-                            misses,
-                            miss_bytes,
-                            mlp: a.pattern.mlp(),
-                            mix: a.mix,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let site_time = |s: &AccessSite, dram: &TierParams, nvm: &TierParams| {
-        let p = match s.tier {
-            TierKind::Dram => dram,
-            TierKind::Nvm => nvm,
-        };
-        p.access_time(s.misses, s.miss_bytes, s.mlp, s.mix)
-    };
-    let mem_time = |dram: &TierParams, nvm: &TierParams| -> VDur {
-        sites.iter().map(|s| site_time(s, dram, nvm)).sum()
-    };
-
     // Pass 1 — the rank's plain share of the node, no helper flows: this
     // fixes the window the flow accounting is evaluated over.
-    let base_d = bw.effective(TierKind::Dram, now, now, FlowScope::None);
-    let base_n = bw.effective(TierKind::Nvm, now, now, FlowScope::None);
-    let t_base = mem_time(&base_d, &base_n);
+    let base = TierPair {
+        dram: bw.effective(TierKind::Dram, now, now, FlowScope::None),
+        nvm: bw.effective(TierKind::Nvm, now, now, FlowScope::None),
+    };
+    let sites = match view {
+        TierView::Sets { in_dram, all_dram } => {
+            set_sites(spec, registry, cache, &base, in_dram, all_dram)
+        }
+        TierView::Fraction(hit) => fraction_sites(spec, registry, cache, &base, hit),
+    };
+    let t_base: VDur = sites.iter().map(|s| s.t_base).sum();
     let w1 = now + spec.cpu + t_base;
 
     // Pass 2 — charge helper flows over the window: own traffic alone
     // (attribution), then own + fenced-visible neighbor traffic (the
-    // clock that actually advances).
-    let own_d = bw.effective(TierKind::Dram, now, w1, FlowScope::Own);
-    let own_n = bw.effective(TierKind::Nvm, now, w1, FlowScope::Own);
-    let t_own = mem_time(&own_d, &own_n);
-    let all_d = bw.effective(TierKind::Dram, now, w1, FlowScope::All);
-    let all_n = bw.effective(TierKind::Nvm, now, w1, FlowScope::All);
+    // clock that actually advances). Unloaded views reuse pass 1.
+    let phase = bw.contended(now, w1);
+    let t_own = match &phase.own {
+        Some(own) => sites.iter().map(|s| s.time(own)).sum(),
+        None => t_base,
+    };
 
     // A phase may carry several descriptors for the same object (e.g. a
     // streaming factor pass plus a dependent back-substitution); traffic
     // merges per placement unit for the sampler, at contended times.
-    let mut truths: Vec<GroundTruth> = Vec::new();
+    let mut truths: Vec<GroundTruth> = Vec::with_capacity(sites.len());
     let mut t_full = VDur::ZERO;
     for s in &sites {
-        let t = site_time(s, &all_d, &all_n);
+        let t = phase.all.as_ref().map_or(s.t_base, |all| s.time(all));
         t_full += t;
         match truths.iter_mut().find(|g| g.unit == s.unit) {
             Some(g) => {
@@ -1307,6 +1376,7 @@ mod tests {
     use super::*;
     use unimem_cache::AccessPattern;
     use unimem_hms::object::ObjId;
+    use unimem_hms::tier::TierParams;
 
     /// Two-object synthetic workload: a streaming-hot `hot` and a cold
     /// `cold`, two compute phases and an allreduce per iteration.
@@ -1508,5 +1578,288 @@ mod tests {
                 policy.label()
             );
         }
+    }
+
+    /// Reference model for the equivalence test below: the three-pass
+    /// form of `ground_truth`, with a miss estimate per unit, six
+    /// `effective` calls (eight ledger loads) and three timing passes.
+    /// The one-visit form must match it bit for bit.
+    struct LegacySite {
+        unit: UnitId,
+        tier: TierKind,
+        misses: u64,
+        miss_bytes: Bytes,
+        mlp: f64,
+        mix: AccessMix,
+    }
+
+    fn three_pass_ground_truth(
+        spec: &ComputeSpec,
+        registry: &ObjectRegistry,
+        view: TierView<'_>,
+        cache: &CacheModel,
+        bw: &BwClient,
+        now: VTime,
+    ) -> (VDur, Vec<GroundTruth>, PhaseContention) {
+        let phase_total: Bytes = spec.accesses.iter().map(|a| a.touched).sum();
+        let mut sites: Vec<LegacySite> = Vec::new();
+        for acc in &spec.accesses {
+            let obj = registry.get(acc.obj);
+            let chunks = obj.chunks;
+            let frac = 1.0 / f64::from(chunks);
+            for unit in obj.units() {
+                let a = if chunks == 1 { *acc } else { acc.scaled(frac) };
+                let est = cache.misses(&a, phase_total);
+                if est.misses == 0 {
+                    continue;
+                }
+                match view {
+                    TierView::Sets { in_dram, all_dram } => {
+                        let tier = if all_dram || in_dram.contains(&unit) {
+                            TierKind::Dram
+                        } else {
+                            TierKind::Nvm
+                        };
+                        sites.push(LegacySite {
+                            unit,
+                            tier,
+                            misses: est.misses,
+                            miss_bytes: est.miss_bytes,
+                            mlp: a.pattern.mlp(),
+                            mix: a.mix,
+                        });
+                    }
+                    TierView::Fraction(hit) => {
+                        let hit = hit.clamp(0.0, 1.0);
+                        let dram_misses = ((est.misses as f64) * hit).round() as u64;
+                        let dram_bytes = Bytes((est.miss_bytes.as_f64() * hit).round() as u64);
+                        let nvm_misses = est.misses - dram_misses;
+                        let nvm_bytes = est.miss_bytes - dram_bytes;
+                        for (tier, misses, miss_bytes) in [
+                            (TierKind::Dram, dram_misses, dram_bytes),
+                            (TierKind::Nvm, nvm_misses, nvm_bytes),
+                        ] {
+                            if misses == 0 {
+                                continue;
+                            }
+                            sites.push(LegacySite {
+                                unit,
+                                tier,
+                                misses,
+                                miss_bytes,
+                                mlp: a.pattern.mlp(),
+                                mix: a.mix,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let site_time = |s: &LegacySite, dram: &TierParams, nvm: &TierParams| {
+            let p = match s.tier {
+                TierKind::Dram => dram,
+                TierKind::Nvm => nvm,
+            };
+            p.access_time(s.misses, s.miss_bytes, s.mlp, s.mix)
+        };
+        let mem_time = |dram: &TierParams, nvm: &TierParams| -> VDur {
+            sites.iter().map(|s| site_time(s, dram, nvm)).sum()
+        };
+
+        // Pass 1 — the rank's plain share of the node, no helper flows: this
+        // fixes the window the flow accounting is evaluated over.
+        let base_d = bw.effective(TierKind::Dram, now, now, FlowScope::None);
+        let base_n = bw.effective(TierKind::Nvm, now, now, FlowScope::None);
+        let t_base = mem_time(&base_d, &base_n);
+        let w1 = now + spec.cpu + t_base;
+
+        // Pass 2 — charge helper flows over the window: own traffic alone
+        // (attribution), then own + fenced-visible neighbor traffic (the
+        // clock that actually advances).
+        let own_d = bw.effective(TierKind::Dram, now, w1, FlowScope::Own);
+        let own_n = bw.effective(TierKind::Nvm, now, w1, FlowScope::Own);
+        let t_own = mem_time(&own_d, &own_n);
+        let all_d = bw.effective(TierKind::Dram, now, w1, FlowScope::All);
+        let all_n = bw.effective(TierKind::Nvm, now, w1, FlowScope::All);
+
+        // A phase may carry several descriptors for the same object (e.g. a
+        // streaming factor pass plus a dependent back-substitution); traffic
+        // merges per placement unit for the sampler, at contended times.
+        let mut truths: Vec<GroundTruth> = Vec::new();
+        let mut t_full = VDur::ZERO;
+        for s in &sites {
+            let t = site_time(s, &all_d, &all_n);
+            t_full += t;
+            match truths.iter_mut().find(|g| g.unit == s.unit) {
+                Some(g) => {
+                    g.misses += s.misses;
+                    g.miss_bytes += s.miss_bytes;
+                    g.mem_time += t;
+                }
+                None => truths.push(GroundTruth {
+                    unit: s.unit,
+                    misses: s.misses,
+                    miss_bytes: s.miss_bytes,
+                    mem_time: t,
+                }),
+            }
+        }
+        let contention = PhaseContention {
+            total: t_full.saturating_sub(t_base),
+            neighbors: t_full.saturating_sub(t_own),
+        };
+        (spec.cpu + t_full, truths, contention)
+    }
+
+    fn assert_same_truth(
+        new: &(VDur, Vec<GroundTruth>, PhaseContention),
+        old: &(VDur, Vec<GroundTruth>, PhaseContention),
+        ctx: &str,
+    ) {
+        assert_eq!(
+            new.0.secs().to_bits(),
+            old.0.secs().to_bits(),
+            "phase time, {ctx}"
+        );
+        assert_eq!(new.1.len(), old.1.len(), "truth count, {ctx}");
+        for (n, o) in new.1.iter().zip(&old.1) {
+            assert_eq!(n.unit, o.unit, "{ctx}");
+            assert_eq!(n.misses, o.misses, "{ctx}");
+            assert_eq!(n.miss_bytes, o.miss_bytes, "{ctx}");
+            assert_eq!(
+                n.mem_time.secs().to_bits(),
+                o.mem_time.secs().to_bits(),
+                "{ctx}"
+            );
+        }
+        let bits = |c: &PhaseContention| (c.total.secs().to_bits(), c.neighbors.secs().to_bits());
+        assert_eq!(bits(&new.2), bits(&old.2), "contention, {ctx}");
+    }
+
+    #[test]
+    fn one_visit_ground_truth_matches_three_pass_bit_for_bit() {
+        use unimem_sim::DetRng;
+        let mut rng = DetRng::seed(0x6e0d_7e57);
+        // Phases seen with no load, neighbor load only, and own load.
+        let mut seen = [0usize; 3];
+        let mut calls = 0;
+        for case in 0..240 {
+            let helper = case % 4 != 3;
+            let m = machine()
+                .with_ranks_per_node(2)
+                .with_helper_contention(helper);
+            let shared = SharedBandwidth::new(&m, 2);
+            let (me, peer) = (shared.client(0), shared.client(1));
+
+            // Four objects, two of them chunked.
+            let mut registry = ObjectRegistry::new();
+            for i in 0..4u16 {
+                let id = registry.register(
+                    ObjectSpec::new(format!("o{i}"), Bytes::mib(1 + rng.index(256) as u64))
+                        .partitionable(true),
+                );
+                registry.set_chunks(id, [1, 1, 3, 8][usize::from(i)]);
+            }
+            let cache = CacheModel::new(Bytes::mib(1 + rng.index(40) as u64));
+            // Descriptors may repeat an object and may miss nothing
+            // (no accesses, or a working set that fits the cache share).
+            let accesses = (0..1 + rng.index(6))
+                .map(|_| {
+                    let obj = ObjId(rng.index(4) as u32);
+                    let n = if rng.index(5) == 0 {
+                        0
+                    } else {
+                        rng.u64() % 50_000_000
+                    };
+                    let touched = if rng.index(6) == 0 {
+                        Bytes::kib(4)
+                    } else {
+                        Bytes::mib(1 + rng.index(128) as u64)
+                    };
+                    let pattern = match rng.index(5) {
+                        0 => AccessPattern::Streaming { stride: Bytes(8) },
+                        1 => AccessPattern::Random,
+                        2 => AccessPattern::PointerChase,
+                        3 => AccessPattern::Gather {
+                            index_span: Bytes::mib(256),
+                        },
+                        _ => AccessPattern::Stencil {
+                            reuse_bytes: Bytes::mib(rng.index(16) as u64),
+                        },
+                    };
+                    ObjAccess::new(obj, n, touched, pattern).with_mix(AccessMix::new(rng.f64()))
+                })
+                .collect();
+            let spec = ComputeSpec {
+                label: "gt",
+                cpu: VDur::from_millis(rng.range_f64(0.0, 5.0)),
+                accesses,
+            };
+
+            // Past epochs: both ranks copy, then fence, so neighbor
+            // traffic becomes visible at its epoch rate.
+            let mut now = 0.0;
+            for _ in 0..rng.index(3) {
+                for c in [&me, &peer] {
+                    if rng.index(2) == 0 {
+                        let to = [TierKind::Dram, TierKind::Nvm][rng.index(2)];
+                        let t0 = now + rng.range_f64(0.0, 0.01);
+                        let bytes = Bytes::mib(1 + rng.index(64) as u64);
+                        c.post_copy(to, VTime(t0), VTime(t0) + bytes / c.copy_rate(), bytes);
+                    }
+                }
+                now += rng.range_f64(0.001, 0.05);
+                me.fence(VTime(now));
+                peer.fence(VTime(now));
+            }
+            // Own traffic in flight over the phase window.
+            if rng.index(3) == 0 {
+                let t0 = now + rng.range_f64(-0.005, 0.005);
+                let bytes = Bytes::mib(1 + rng.index(64) as u64);
+                me.post_copy(
+                    TierKind::Nvm,
+                    VTime(t0),
+                    VTime(t0) + bytes / me.copy_rate(),
+                    bytes,
+                );
+                me.post_journal_write(VTime(t0), VTime(t0), Bytes::kib(64));
+            }
+            let phase = me.contended(VTime(now), VTime(now + 0.01));
+            seen[usize::from(phase.all.is_some()) + usize::from(phase.own.is_some())] += 1;
+
+            let partial: BTreeSet<UnitId> = registry
+                .units()
+                .into_iter()
+                .filter(|_| rng.index(2) == 0)
+                .collect();
+            let empty = BTreeSet::new();
+            let views = [
+                TierView::Sets {
+                    in_dram: &partial,
+                    all_dram: false,
+                },
+                TierView::Sets {
+                    in_dram: &empty,
+                    all_dram: true,
+                },
+                TierView::Sets {
+                    in_dram: &empty,
+                    all_dram: false,
+                },
+                TierView::Fraction(0.0),
+                TierView::Fraction(1.0),
+                TierView::Fraction(0.37),
+                TierView::Fraction(rng.f64()),
+            ];
+            for view in views {
+                let at = VTime(now);
+                let new = ground_truth(&spec, &registry, view, &cache, &me, at);
+                let old = three_pass_ground_truth(&spec, &registry, view, &cache, &me, at);
+                assert_same_truth(&new, &old, &format!("case {case}, {view:?}"));
+                calls += 1;
+            }
+        }
+        assert_eq!(calls, 240 * 7);
+        assert!(seen.iter().all(|&n| n >= 20), "scenario mix {seen:?}");
     }
 }

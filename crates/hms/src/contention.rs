@@ -47,13 +47,59 @@ use crate::profiles::MachineConfig;
 use crate::tier::{TierKind, TierParams};
 use crate::topology::ClusterTopology;
 use std::sync::Arc;
-use unimem_sim::{Bandwidth, BwLedger, Bytes, Channel, ChannelMap, VDur, VTime};
+use unimem_sim::{Bandwidth, BwLedger, Bytes, Channel, ChannelMap, LoadSplit, VDur, VTime};
 
 fn channels_of(tier: TierKind) -> (Channel, Channel) {
     match tier {
         TierKind::Dram => (Channel::DramRead, Channel::DramWrite),
         TierKind::Nvm => (Channel::NvmRead, Channel::NvmWrite),
     }
+}
+
+/// A rank's share of one direction's bandwidth: `bw / (occ × (1 + load/bw))`.
+fn share(bw: Bandwidth, occ: f64, load: f64) -> Bandwidth {
+    let l = load / bw.bytes_per_s();
+    Bandwidth(bw.bytes_per_s() / (occ * (1.0 + l)))
+}
+
+/// `params` with both bandwidths shared under the given direction loads;
+/// latency stays at the node value.
+fn shared_params(params: &TierParams, occ: f64, read_load: f64, write_load: f64) -> TierParams {
+    TierParams {
+        read_lat: params.read_lat,
+        write_lat: params.write_lat,
+        read_bw: share(params.read_bw, occ, read_load),
+        write_bw: share(params.write_bw, occ, write_load),
+    }
+}
+
+/// One parameter set per tier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TierPair {
+    pub dram: TierParams,
+    pub nvm: TierParams,
+}
+
+impl TierPair {
+    /// The parameters of `tier`.
+    pub fn get(&self, tier: TierKind) -> &TierParams {
+        match tier {
+            TierKind::Dram => &self.dram,
+            TierKind::Nvm => &self.nvm,
+        }
+    }
+}
+
+/// Both contended views of one phase window, from one ledger visit
+/// ([`BwClient::contended`]). A view is `None` when every tier lane's
+/// load in it is exactly `0.0`: it is then bit-identical to the
+/// [`FlowScope::None`] parameters, so callers reuse those.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseBandwidth {
+    /// Charging the rank's own helper flows only ([`FlowScope::Own`]).
+    pub own: Option<TierPair>,
+    /// Charging own plus fenced-visible neighbor flows ([`FlowScope::All`]).
+    pub all: Option<TierPair>,
 }
 
 /// Which helper flows a bandwidth query charges.
@@ -74,8 +120,7 @@ struct Node {
     /// Fair per-helper copy rate on this node: node copy path / occupancy.
     copy_rate: Bandwidth,
     /// This node's tier parameters (per-node: heterogeneous rooms differ).
-    dram: TierParams,
-    nvm: TierParams,
+    tiers: TierPair,
     /// Per-direction bandwidth of this node's link to the interconnect.
     link_bw: Bandwidth,
     /// Machine-equivalence class (calibration key component).
@@ -128,8 +173,10 @@ impl SharedBandwidth {
                     ledger: BwLedger::with_channels(occupancy.max(1), map),
                     occupancy,
                     copy_rate: machine.copy_bw.scaled(1.0 / occupancy.max(1) as f64),
-                    dram: machine.dram,
-                    nvm: machine.nvm,
+                    tiers: TierPair {
+                        dram: machine.dram,
+                        nvm: machine.nvm,
+                    },
                     link_bw: topo.spec().link_bw,
                     class: topo.class_of_node(n),
                     helper_contention: machine.helper_contention,
@@ -177,13 +224,6 @@ pub struct BwClient {
 impl BwClient {
     fn node(&self) -> &Node {
         &self.shared.inner.nodes[self.node]
-    }
-
-    fn node_tier(&self, tier: TierKind) -> &TierParams {
-        match tier {
-            TierKind::Dram => &self.node().dram,
-            TierKind::Nvm => &self.node().nvm,
-        }
     }
 
     /// Ranks actually sharing this rank's node.
@@ -304,10 +344,8 @@ impl BwClient {
     /// bandwidth is the contended resource (paper Fig. 2).
     pub fn effective(&self, tier: TierKind, w0: VTime, w1: VTime, scope: FlowScope) -> TierParams {
         let node = self.node();
-        let params = self.node_tier(tier);
-        let occ = node.occupancy as f64;
-        let avail = |channel: Channel, bw: Bandwidth| -> Bandwidth {
-            let load = if node.helper_contention && scope != FlowScope::None {
+        let load = |channel: Channel| -> f64 {
+            if node.helper_contention && scope != FlowScope::None {
                 let split = node.ledger.load_named(
                     self.owner,
                     channel,
@@ -322,16 +360,56 @@ impl BwClient {
                 }
             } else {
                 0.0
-            };
-            let l = load / bw.bytes_per_s();
-            Bandwidth(bw.bytes_per_s() / (occ * (1.0 + l)))
+            }
         };
         let (ch_r, ch_w) = channels_of(tier);
-        TierParams {
-            read_lat: params.read_lat,
-            write_lat: params.write_lat,
-            read_bw: avail(ch_r, params.read_bw),
-            write_bw: avail(ch_w, params.write_bw),
+        shared_params(
+            node.tiers.get(tier),
+            node.occupancy as f64,
+            load(ch_r),
+            load(ch_w),
+        )
+    }
+
+    /// [`BwClient::effective`] for both tiers under both
+    /// [`FlowScope::Own`] and [`FlowScope::All`] over `[w0, w1]`, from a
+    /// single [`BwLedger::load_tiers`] visit instead of eight per-lane
+    /// queries. Every parameter is bit-identical to the matching
+    /// `effective` call; a view with no load at all is `None` (see
+    /// [`PhaseBandwidth`]), decided from the loads themselves.
+    pub fn contended(&self, w0: VTime, w1: VTime) -> PhaseBandwidth {
+        let node = self.node();
+        if !node.helper_contention {
+            return PhaseBandwidth {
+                own: None,
+                all: None,
+            };
+        }
+        let loads = node
+            .ledger
+            .load_tiers(self.owner, w0, w1, node.copy_rate.bytes_per_s());
+        let occ = node.occupancy as f64;
+        let view = |load: fn(&LoadSplit) -> f64| {
+            if loads.iter().all(|s| load(s) == 0.0) {
+                return None;
+            }
+            let tier = |kind: TierKind| {
+                let (ch_r, ch_w) = channels_of(kind);
+                shared_params(
+                    node.tiers.get(kind),
+                    occ,
+                    load(&loads[ch_r.index()]),
+                    load(&loads[ch_w.index()]),
+                )
+            };
+            Some(TierPair {
+                dram: tier(TierKind::Dram),
+                nvm: tier(TierKind::Nvm),
+            })
+        };
+        PhaseBandwidth {
+            own: view(|s| s.own),
+            all: view(LoadSplit::total),
         }
     }
 }
@@ -474,6 +552,47 @@ mod tests {
             after.read_bw.bytes_per_s() < own_only.read_bw.bytes_per_s(),
             "fenced neighbor traffic not charged"
         );
+    }
+
+    #[test]
+    fn contended_matches_effective_and_drops_unloaded_views() {
+        let m = machine().with_ranks_per_node(2);
+        let s = SharedBandwidth::new(&m, 2);
+        let (a, b) = (s.client(0), s.client(1));
+        // Returns which views carry load: (own, all).
+        let check = |w0: VTime, w1: VTime| {
+            let phase = a.contended(w0, w1);
+            for tier in [TierKind::Dram, TierKind::Nvm] {
+                let base = a.effective(tier, w0, w0, FlowScope::None);
+                for (view, scope) in [(phase.own, FlowScope::Own), (phase.all, FlowScope::All)] {
+                    let params = view.map_or(base, |p| *p.get(tier));
+                    assert_eq!(
+                        params,
+                        a.effective(tier, w0, w1, scope),
+                        "{tier:?} {scope:?}"
+                    );
+                }
+            }
+            (phase.own.is_some(), phase.all.is_some())
+        };
+        assert_eq!(check(VTime::ZERO, VTime(1.0)), (false, false));
+        // A neighbor copy: invisible until the fence, then neighbor-only.
+        b.post_copy(TierKind::Dram, VTime::ZERO, VTime(1.0), Bytes::mib(64));
+        assert_eq!(check(VTime::ZERO, VTime(1.0)), (false, false));
+        a.fence(VTime(1.0));
+        b.fence(VTime(1.0));
+        assert_eq!(check(VTime(1.0), VTime(2.0)), (false, true));
+        // An own copy loads both views.
+        a.post_copy(TierKind::Nvm, VTime(1.0), VTime(1.5), Bytes::mib(64));
+        assert_eq!(check(VTime(1.0), VTime(2.0)), (true, true));
+        // A zero-length window charges nothing.
+        assert_eq!(check(VTime(1.2), VTime(1.2)), (false, false));
+        // Nor does a node without helper contention.
+        let off = SharedBandwidth::new(&m.with_helper_contention(false), 2);
+        off.client(0)
+            .post_copy(TierKind::Nvm, VTime::ZERO, VTime(1.0), Bytes::mib(64));
+        let phase = off.client(0).contended(VTime::ZERO, VTime(1.0));
+        assert_eq!((phase.own, phase.all), (None, None));
     }
 
     #[test]

@@ -187,6 +187,10 @@ struct Flow {
     visible_from: u64,
 }
 
+/// Number of intra-node tier lanes (`DramRead ..= NvmWrite`, indices
+/// `0..4`) — the lanes [`BwLedger::load_tiers`] fills.
+pub const TIER_LANES: usize = 4;
+
 /// Depth of the per-shard epoch ring. Visibility lag is at most one
 /// generation, so the live slots at owner generation `G` are `G+1`
 /// (accumulating), `G-1 ..= G+1` (readable) and `G-2` (being cleared)
@@ -396,20 +400,58 @@ impl BwLedger {
         neighbor_rate_cap: f64,
     ) -> LoadSplit {
         assert!(channel < self.channels, "channel {channel} out of range");
+        let [split] = self.scan(owner, channel, w0, w1, neighbor_rate_cap);
+        split
+    }
+
+    /// [`BwLedger::load`] for the four intra-node tier lanes at once
+    /// (`DramRead`, `DramWrite`, `NvmRead`, `NvmWrite`, in index order),
+    /// in one visit: one lock of the owner's shard, one pass over its
+    /// flows and one pass over the neighbor rings. Each lane is summed in
+    /// the same order as a lone `load`, so every split is bit-identical
+    /// to the per-lane query. Link lanes are not read.
+    pub fn load_tiers(
+        &self,
+        owner: usize,
+        w0: VTime,
+        w1: VTime,
+        neighbor_rate_cap: f64,
+    ) -> [LoadSplit; TIER_LANES] {
+        assert!(
+            self.channels >= TIER_LANES,
+            "ledger has no tier lanes ({} channels)",
+            self.channels
+        );
+        self.scan(owner, 0, w0, w1, neighbor_rate_cap)
+    }
+
+    /// The one load computation: lanes `first .. first + N`, each summed
+    /// in flow order (own) and owner order (neighbors).
+    fn scan<const N: usize>(
+        &self,
+        owner: usize,
+        first: usize,
+        w0: VTime,
+        w1: VTime,
+        neighbor_rate_cap: f64,
+    ) -> [LoadSplit; N] {
+        let mut splits = [LoadSplit::default(); N];
         let window = w1.since(w0);
         if window.is_zero() {
-            return LoadSplit::default();
+            return splits;
         }
 
         // One visit to the reader's own (uncontended) shard covers the
         // generation, the epoch length, and the own-flow overlap.
-        let (gen, epoch_len, own_bytes) = {
+        let (gen, epoch_len) = {
             let st = self.state(owner);
-            let mut own = 0.0;
-            for f in st.flows.iter().filter(|f| f.channel == channel) {
-                own += overlap_bytes(f, w0, w1);
+            for f in &st.flows {
+                // Lanes outside the range wrap to a large index.
+                if let Some(split) = splits.get_mut(f.channel.wrapping_sub(first)) {
+                    split.own += overlap_bytes(f, w0, w1);
+                }
             }
-            (st.gen, epoch_len(st.gen, st.last_fences), own)
+            (st.gen, epoch_len(st.gen, st.last_fences))
         };
 
         // Neighbors: bytes they posted during the reader's last completed
@@ -417,34 +459,35 @@ impl BwLedger {
         // each neighbor's epoch total is one Acquire load from its ring —
         // no neighbor mutex is ever taken, so concurrent rank queries
         // and posts do not convoy through each other's shards.
-        let mut neighbors = 0.0;
         if gen >= 1 {
             for (o, shard) in self.shards.iter().enumerate() {
                 if o == owner {
                     continue;
                 }
-                // Fence-cleared (or never-posted) slots read as zero.
-                let bytes = f64::from_bits(
-                    shard
-                        .slot(gen, channel, self.channels)
-                        .load(Ordering::Acquire),
-                );
-                if bytes <= 0.0 {
-                    continue;
+                for (lane, split) in splits.iter_mut().enumerate() {
+                    // Fence-cleared (or never-posted) slots read as zero.
+                    let bytes = f64::from_bits(
+                        shard
+                            .slot(gen, first + lane, self.channels)
+                            .load(Ordering::Acquire),
+                    );
+                    if bytes <= 0.0 {
+                        continue;
+                    }
+                    let rate = if epoch_len.is_zero() {
+                        neighbor_rate_cap
+                    } else {
+                        (bytes / epoch_len.secs()).min(neighbor_rate_cap)
+                    };
+                    split.neighbors += rate;
                 }
-                let rate = if epoch_len.is_zero() {
-                    neighbor_rate_cap
-                } else {
-                    (bytes / epoch_len.secs()).min(neighbor_rate_cap)
-                };
-                neighbors += rate;
             }
         }
 
-        LoadSplit {
-            own: own_bytes / window.secs(),
-            neighbors,
+        for split in &mut splits {
+            split.own /= window.secs();
         }
+        splits
     }
 }
 
@@ -652,6 +695,99 @@ mod tests {
         assert_eq!(ChannelMap::for_nodes(1), intra);
         assert_eq!(ChannelMap::for_nodes(2), cluster);
         assert_eq!(ChannelMap::for_nodes(128), cluster);
+    }
+
+    /// Every lane of `load_tiers` equals a lone `load` on that lane, bit
+    /// for bit.
+    fn assert_tiers_match_lanes(l: &BwLedger, owner: usize, w0: VTime, w1: VTime, cap: f64) {
+        let tiers = l.load_tiers(owner, w0, w1, cap);
+        for (lane, split) in tiers.iter().enumerate() {
+            let one = l.load(owner, lane, w0, w1, cap);
+            assert_eq!(
+                (split.own.to_bits(), split.neighbors.to_bits()),
+                (one.own.to_bits(), one.neighbors.to_bits()),
+                "owner {owner} lane {lane} window [{w0:?}, {w1:?}] cap {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn four_lane_query_matches_per_lane_load_bit_for_bit() {
+        let owners = 3;
+        let l = BwLedger::with_channels(owners, ChannelMap::cluster());
+        let mut rng = crate::rng::DetRng::seed(0x1ed9e7);
+        // Fence instants: the second fence repeats the first, so one epoch
+        // has zero length (neighbors charged at the cap).
+        let fences = [1.0, 1.0, 2.5, 3.0, 4.0, 5.5, 7.0];
+        let mut now = 0.0;
+        let mut checked = 0;
+        for &fence_at in &fences {
+            // Owners post on all six lanes (link lanes included) and stay
+            // idle on some lanes some epochs, so fence-cleared ring slots
+            // are read; a quarter of the flows have zero duration.
+            for owner in 0..owners {
+                for _ in 0..rng.index(6) {
+                    let start = now + rng.range_f64(-0.5, fence_at - now + 0.5);
+                    let dur = if rng.index(4) == 0 {
+                        0.0
+                    } else {
+                        rng.range_f64(0.0, 1.5)
+                    };
+                    let ch = rng.index(6);
+                    l.post(owner, ch, t(start), t(start + dur), rng.range_f64(1e3, 1e9));
+                }
+            }
+            // Readers query between the fences of their neighbors, so
+            // generations differ across owners.
+            for owner in 0..owners {
+                for cap in [1e12, 1e7, 0.0] {
+                    let w0 = now + rng.range_f64(-0.5, 0.5);
+                    let w1 = w0 + rng.range_f64(0.0, 2.0);
+                    assert_tiers_match_lanes(&l, owner, t(w0), t(w1), cap);
+                    assert_tiers_match_lanes(&l, owner, t(w0), t(w0), cap);
+                    checked += 2;
+                }
+                l.fence(owner, t(fence_at));
+            }
+            now = fence_at;
+        }
+        assert_eq!(checked, fences.len() * owners * 6);
+        assert_eq!(l.gen(0), fences.len() as u64);
+    }
+
+    #[test]
+    fn four_lane_query_covers_generations_zero_and_one() {
+        let l = BwLedger::with_channels(2, ChannelMap::cluster());
+        l.post(1, 2, t(0.0), t(0.5), 4e8);
+        l.post(0, 1, t(0.25), t(0.25), 1e6);
+        // Generation 0: own flows only, neighbor traffic invisible.
+        assert_tiers_match_lanes(&l, 0, t(0.0), t(1.0), 1e12);
+        assert_eq!(l.load_tiers(0, t(0.0), t(1.0), 1e12)[2].neighbors, 0.0);
+        l.fence(0, t(2.0));
+        l.fence(1, t(2.0));
+        // Generation 1: the epoch is measured from `VTime::ZERO`.
+        assert_tiers_match_lanes(&l, 0, t(2.0), t(3.0), 1e12);
+        let tiers = l.load_tiers(0, t(2.0), t(3.0), 1e12);
+        assert_eq!(tiers[2].neighbors, 4e8 / 2.0);
+        // The cap binds below the epoch rate.
+        assert_eq!(l.load_tiers(0, t(2.0), t(3.0), 1e8)[2].neighbors, 1e8);
+    }
+
+    #[test]
+    fn four_lane_query_ignores_link_lanes() {
+        let l = BwLedger::with_channels(2, ChannelMap::cluster());
+        for owner in 0..2 {
+            l.post_named(owner, Channel::LinkUp, t(0.0), t(1.0), 1e9);
+            l.post_named(owner, Channel::LinkDown, t(0.0), t(1.0), 1e9);
+        }
+        l.fence(0, t(1.0));
+        l.fence(1, t(1.0));
+        for (w0, w1) in [(0.0, 1.0), (1.0, 2.0)] {
+            let tiers = l.load_tiers(0, t(w0), t(w1), 1e12);
+            assert_eq!(tiers, [LoadSplit::default(); TIER_LANES]);
+            assert_tiers_match_lanes(&l, 0, t(w0), t(w1), 1e12);
+        }
+        assert!(l.load_named(0, Channel::LinkUp, t(0.0), t(1.0), 1e12).own > 0.0);
     }
 
     #[test]
