@@ -13,12 +13,15 @@
 //! Three design rules keep the cache invisible in the output:
 //!
 //! * **Byte-identity.** A warm sweep must serialize byte-identically to a
-//!   cold one. Cached payloads therefore carry the cell's *raw* state
-//!   (including the non-serialized `overlapped`/`exposed` migration
-//!   durations that `RunStats::to_json` only exposes as a derived
-//!   percentage) so reconstruction is exact, not approximate. The
-//!   integration property tests assert `cold == warm` on the serialized
-//!   report text.
+//!   cold one. The payload is the cell's own report form
+//!   ([`SweepCell::to_json`] / [`CorunCell::to_json`], decoded by their
+//!   `from_json`) plus a `migration_split`: the raw
+//!   `[overlapped_s, exposed_s]` pair of every stats block
+//!   ([`unimem::exec::RunReport::migration_split`]), the one thing the report form
+//!   keeps only as a derived percentage. Reconstruction is therefore
+//!   exact, and this module holds no encoder of its own — only framing,
+//!   keys and I/O. The integration property tests assert `cold == warm`
+//!   on the serialized report text.
 //! * **Conservative keys.** The key document includes the cache schema
 //!   ([`SCHEMA`]), the sweep report schema ([`crate::sweep::report::SCHEMA`]),
 //!   an engine fingerprint ([`ENGINE_FINGERPRINT`]) bumped on any
@@ -42,17 +45,13 @@ use crate::sweep::report::SCHEMA as SWEEP_SCHEMA;
 use crate::sweep::runner::{CorunCell, SweepCell};
 use std::io;
 use std::path::{Path, PathBuf};
-use unimem::exec::RunReport;
-use unimem::search::SearchKind;
-use unimem::stats::RunStats;
-use unimem_hms::arbiter::ArbiterPolicy;
-use unimem_hms::migration::MigrationStats;
-use unimem_sim::{json_digest_hex, Bytes, Fnv64, Json, VDur};
+use unimem_sim::{json_digest_hex, Fnv64, Json};
 use unimem_workloads::corun::CorunMix;
 
 /// Cache entry schema tag; part of every key document. Bump when the
-/// entry payload layout changes.
-pub const SCHEMA: &str = "unimem-sweep-cache/v1";
+/// entry payload layout changes (v2: the payload became the report form
+/// plus `migration_split`).
+pub const SCHEMA: &str = "unimem-sweep-cache/v2";
 
 /// Engine fingerprint; part of every key document. Bump whenever a
 /// change anywhere in the execution engine (simulator, runtime model,
@@ -164,68 +163,79 @@ impl SweepCache {
     /// exist, with a stderr warning when it exists but fails
     /// verification (the caller recomputes either way).
     pub(crate) fn load_cell(&self, key: &CacheKey) -> Option<SweepCell> {
-        self.load(key, "cell", cell_from_json)
+        self.load(key, |doc| {
+            let mut cell = doc.decode("cell", SweepCell::from_json)?;
+            doc.decode("migration_split", |split| {
+                cell.report.set_migration_split(split)
+            })?;
+            Ok(cell)
+        })
     }
 
     /// Persist a finished cell under its key. Write failures warn and
     /// drop the entry: a read-only or full cache directory degrades the
     /// cache to a no-op, it does not fail the sweep.
     pub(crate) fn store_cell(&self, key: &CacheKey, cell: &SweepCell) {
-        self.store(key, "cell", cell_to_json(cell));
+        self.store(key, "cell", cell.to_json(), cell.report.migration_split());
     }
 
     /// Look a co-run group up (all arbiters × tenants of one
     /// `(profile, mix)` pair, in canonical order).
     pub(crate) fn load_corun(&self, key: &CacheKey) -> Option<Vec<CorunCell>> {
-        self.load(key, "cells", |v| {
-            let items = v.as_arr().ok_or("\"cells\" is not an array")?;
-            items.iter().map(corun_cell_from_json).collect()
+        self.load(key, |doc| {
+            let items = doc.decode("cells", |v| v.as_arr().ok_or("not an array".into()))?;
+            let splits = doc.decode("migration_split", |v| {
+                v.as_arr()
+                    .filter(|s| s.len() == items.len())
+                    .ok_or(format!("not an array of {} splits", items.len()))
+            })?;
+            let decode = |item: &Json, split: &Json| {
+                let mut cell = CorunCell::from_json(item)?;
+                cell.report.set_migration_split(split)?;
+                Ok(cell)
+            };
+            (items.iter().zip(splits).enumerate())
+                .map(|(i, (item, split))| {
+                    decode(item, split).map_err(|e: String| format!("co-run cell {i}: {e}"))
+                })
+                .collect()
         })
     }
 
     /// Persist a finished co-run group under its key.
     pub(crate) fn store_corun(&self, key: &CacheKey, cells: &[CorunCell]) {
-        let items: Vec<Json> = cells.iter().map(corun_cell_to_json).collect();
-        self.store(key, "cells", Json::from(items));
+        let items = cells.iter().map(CorunCell::to_json).collect();
+        let splits = cells.iter().map(|c| c.report.migration_split()).collect();
+        self.store(key, "cells", Json::Arr(items), Json::Arr(splits));
     }
 
     fn load<T>(
         &self,
         key: &CacheKey,
-        member: &str,
         decode: impl FnOnce(&Json) -> Result<T, String>,
     ) -> Option<T> {
         let path = key.path_in(&self.dir);
-        let doc = match read_entry(&path, &key.canon) {
-            Ok(doc) => doc,
+        let decoded = match read_entry(&path, &key.canon) {
+            Ok(doc) => decode(&doc),
             Err(ReadError::Missing) => return None,
-            Err(ReadError::Corrupt(why)) => {
-                eprintln!(
-                    "sweep cache: discarding corrupt entry {}: {why}",
-                    path.display()
-                );
-                return None;
-            }
+            Err(ReadError::Corrupt(why)) => Err(why),
         };
-        match doc
-            .get(member)
-            .ok_or_else(|| format!("entry has no {member:?} member"))
-            .and_then(decode)
-        {
-            Ok(value) => Some(value),
-            Err(why) => {
+        decoded
+            .map_err(|why| {
                 eprintln!(
                     "sweep cache: discarding corrupt entry {}: {why}",
                     path.display()
-                );
-                None
-            }
-        }
+                )
+            })
+            .ok()
     }
 
-    fn store(&self, key: &CacheKey, member: &str, value: Json) {
+    /// Write `{key, <member>: value, migration_split: split}`.
+    fn store(&self, key: &CacheKey, member: &str, value: Json, split: Json) {
         let mut doc = Json::obj();
-        doc.push("key", key.doc.clone()).push(member, value);
+        doc.push("key", key.doc.clone())
+            .push(member, value)
+            .push("migration_split", split);
         let path = key.path_in(&self.dir);
         if let Err(e) = write_entry(&path, &doc) {
             eprintln!("sweep cache: failed to write {}: {e}", path.display());
@@ -349,211 +359,21 @@ fn read_entry(path: &Path, expected_canon: &str) -> Result<Json, ReadError> {
     Ok(doc)
 }
 
-// ---------------------------------------------------------------------
-// Full-fidelity (de)serialization.
-//
-// `RunStats::to_json` (the report path) derives `overlap_pct` and drops
-// the raw overlapped/exposed durations; reconstruction from the report
-// form would not be exact. The cache therefore carries every raw field
-// and nothing derived — decode(encode(x)) rebuilds `x` so the warm
-// report serializes byte-identically to the cold one.
-// ---------------------------------------------------------------------
-
-fn stats_to_json(s: &RunStats) -> Json {
-    let mut o = Json::obj();
-    o.push("total_time_s", s.total_time)
-        .push("app_time_s", s.app_time)
-        .push("profiling_overhead_s", s.profiling_overhead)
-        .push("modeling_overhead_s", s.modeling_overhead)
-        .push("sync_overhead_s", s.sync_overhead)
-        .push("migration_stall_s", s.migration_stall)
-        .push("contention_time_s", s.contention_time)
-        .push("neighbor_contention_time_s", s.neighbor_contention_time)
-        .push("mig_count", s.migrations.count)
-        .push("mig_bytes", s.migrations.bytes)
-        .push("mig_to_dram", s.migrations.to_dram_count)
-        .push("mig_to_nvm", s.migrations.to_nvm_count)
-        .push("mig_overlapped_s", s.migrations.overlapped)
-        .push("mig_exposed_s", s.migrations.exposed)
-        .push("reprofiles", s.reprofiles)
-        .push("lease_replans", s.lease_replans)
-        .push("iterations", s.iterations);
-    o
-}
-
-fn stats_from_json(v: &Json) -> Result<RunStats, String> {
-    Ok(RunStats {
-        total_time: vdur(v, "total_time_s")?,
-        app_time: vdur(v, "app_time_s")?,
-        profiling_overhead: vdur(v, "profiling_overhead_s")?,
-        modeling_overhead: vdur(v, "modeling_overhead_s")?,
-        sync_overhead: vdur(v, "sync_overhead_s")?,
-        migration_stall: vdur(v, "migration_stall_s")?,
-        contention_time: vdur(v, "contention_time_s")?,
-        neighbor_contention_time: vdur(v, "neighbor_contention_time_s")?,
-        migrations: MigrationStats {
-            count: uint(v, "mig_count")?,
-            bytes: Bytes(uint(v, "mig_bytes")?),
-            to_dram_count: uint(v, "mig_to_dram")?,
-            to_nvm_count: uint(v, "mig_to_nvm")?,
-            overlapped: vdur(v, "mig_overlapped_s")?,
-            exposed: vdur(v, "mig_exposed_s")?,
-        },
-        reprofiles: uint(v, "reprofiles")?,
-        lease_replans: uint(v, "lease_replans")?,
-        iterations: uint(v, "iterations")?,
-    })
-}
-
-fn report_to_json(r: &RunReport) -> Json {
-    let per_rank: Vec<Json> = r.per_rank.iter().map(stats_to_json).collect();
-    let mut o = Json::obj();
-    o.push("workload", r.workload.as_str())
-        .push("policy", r.policy.as_str())
-        .push(
-            "plan_kind",
-            match r.plan_kind {
-                Some(k) => Json::from(k.name()),
-                None => Json::Null,
-            },
-        )
-        .push("job", stats_to_json(&r.job))
-        .push("per_rank", per_rank);
-    o
-}
-
-fn report_from_json(v: &Json) -> Result<RunReport, String> {
-    let plan_kind = match field(v, "plan_kind")? {
-        Json::Null => None,
-        Json::Str(s) => {
-            Some(SearchKind::from_name(s).ok_or_else(|| format!("unknown plan kind {s:?}"))?)
-        }
-        other => return Err(format!("plan_kind is neither null nor a string: {other:?}")),
-    };
-    let per_rank = field(v, "per_rank")?
-        .as_arr()
-        .ok_or("per_rank is not an array")?
-        .iter()
-        .map(stats_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(RunReport {
-        workload: string(v, "workload")?,
-        policy: string(v, "policy")?,
-        per_rank,
-        job: stats_from_json(field(v, "job")?)?,
-        plan_kind,
-    })
-}
-
-fn cell_to_json(c: &SweepCell) -> Json {
-    let mut o = Json::obj();
-    o.push("workload", c.workload.as_str())
-        .push("full_name", c.full_name.as_str())
-        .push("policy", c.policy.name())
-        .push("profile", c.profile.name())
-        .push("nranks", c.nranks)
-        .push("ranks_per_node", c.ranks_per_node)
-        .push("topology", c.topology.name())
-        .push("normalized_to_dram", c.normalized_to_dram)
-        .push("report", report_to_json(&c.report));
-    o
-}
-
-fn cell_from_json(v: &Json) -> Result<SweepCell, String> {
-    let policy = string(v, "policy")?;
-    let profile = string(v, "profile")?;
-    let topology = string(v, "topology")?;
-    Ok(SweepCell {
-        workload: string(v, "workload")?,
-        full_name: string(v, "full_name")?,
-        policy: PolicyKind::from_name(&policy)
-            .ok_or_else(|| format!("unknown policy {policy:?}"))?,
-        profile: NvmProfile::parse(&profile)
-            .ok_or_else(|| format!("unknown profile {profile:?}"))?,
-        nranks: uint(v, "nranks")? as usize,
-        ranks_per_node: uint(v, "ranks_per_node")? as usize,
-        topology: TopologySpec::parse(&topology)
-            .ok_or_else(|| format!("unknown topology {topology:?}"))?,
-        normalized_to_dram: float(v, "normalized_to_dram")?,
-        report: report_from_json(field(v, "report")?)?,
-    })
-}
-
-fn corun_cell_to_json(c: &CorunCell) -> Json {
-    let mut o = Json::obj();
-    o.push("mix", c.mix.as_str())
-        .push("workload", c.workload.as_str())
-        .push("tenant", c.tenant.as_str())
-        .push("weight", u64::from(c.weight))
-        .push("start_epoch", c.start_epoch)
-        .push("arbiter", c.arbiter.name())
-        .push("profile", c.profile.name())
-        .push("nranks", c.nranks)
-        .push("solo_time_s", c.solo_time_s)
-        .push("slowdown", c.slowdown)
-        .push("lease_min", c.lease_min)
-        .push("lease_max", c.lease_max)
-        .push("report", report_to_json(&c.report));
-    o
-}
-
-fn corun_cell_from_json(v: &Json) -> Result<CorunCell, String> {
-    let arbiter = string(v, "arbiter")?;
-    let profile = string(v, "profile")?;
-    Ok(CorunCell {
-        mix: string(v, "mix")?,
-        workload: string(v, "workload")?,
-        tenant: string(v, "tenant")?,
-        weight: u32::try_from(uint(v, "weight")?).map_err(|_| "weight exceeds u32")?,
-        start_epoch: uint(v, "start_epoch")? as usize,
-        arbiter: ArbiterPolicy::parse(&arbiter)
-            .ok_or_else(|| format!("unknown arbiter {arbiter:?}"))?,
-        profile: NvmProfile::parse(&profile)
-            .ok_or_else(|| format!("unknown profile {profile:?}"))?,
-        nranks: uint(v, "nranks")? as usize,
-        solo_time_s: float(v, "solo_time_s")?,
-        slowdown: float(v, "slowdown")?,
-        lease_min: Bytes(uint(v, "lease_min")?),
-        lease_max: Bytes(uint(v, "lease_max")?),
-        report: report_from_json(field(v, "report")?)?,
-    })
-}
-
-// Field accessors that name the missing/mistyped member in the error —
-// every decode error surfaces verbatim in the corrupt-entry warning.
-
-fn field<'a>(v: &'a Json, k: &str) -> Result<&'a Json, String> {
-    v.get(k).ok_or_else(|| format!("missing member {k:?}"))
-}
-
-fn string(v: &Json, k: &str) -> Result<String, String> {
-    field(v, k)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("member {k:?} is not a string"))
-}
-
-fn uint(v: &Json, k: &str) -> Result<u64, String> {
-    field(v, k)?
-        .as_u64()
-        .ok_or_else(|| format!("member {k:?} is not an unsigned integer"))
-}
-
-fn float(v: &Json, k: &str) -> Result<f64, String> {
-    field(v, k)?
-        .as_f64()
-        .ok_or_else(|| format!("member {k:?} is not a number"))
-}
-
-fn vdur(v: &Json, k: &str) -> Result<VDur, String> {
-    Ok(VDur(float(v, k)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::report::tests::{sample_cell, sample_corun_cell};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use unimem::exec::RunReport;
+    use unimem_hms::arbiter::ArbiterPolicy;
+    use unimem_sim::Bytes;
     use unimem_workloads::Class;
+
+    /// Everything a cell holds: its report form plus the migration split
+    /// the report form derives `overlap_pct` from.
+    fn full_form(report_form: Json, report: &RunReport) -> String {
+        format!("{report_form}{}", report.migration_split())
+    }
 
     fn tmp_dir() -> PathBuf {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -562,51 +382,6 @@ mod tests {
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         ))
-    }
-
-    fn sample_stats(seed: u64) -> RunStats {
-        let f = seed as f64;
-        RunStats {
-            total_time: VDur(10.125 + f),
-            app_time: VDur(8.0625 + f),
-            profiling_overhead: VDur(0.031 + f / 7.0),
-            modeling_overhead: VDur(0.011),
-            sync_overhead: VDur(0.007),
-            migration_stall: VDur(0.503),
-            contention_time: VDur(0.101),
-            neighbor_contention_time: VDur(0.041),
-            migrations: MigrationStats {
-                count: 12 + seed,
-                bytes: Bytes(u64::MAX - 3 - seed), // above 2^53: must not round through f64
-                to_dram_count: 7,
-                to_nvm_count: 5 + seed,
-                overlapped: VDur(0.375),
-                exposed: VDur(0.128 + f / 3.0),
-            },
-            reprofiles: 2,
-            lease_replans: seed,
-            iterations: 50,
-        }
-    }
-
-    fn sample_cell() -> SweepCell {
-        SweepCell {
-            workload: "CG".into(),
-            full_name: "CG.C".into(),
-            policy: PolicyKind::Unimem,
-            profile: NvmProfile::BwHalf,
-            nranks: 4,
-            ranks_per_node: 1,
-            topology: TopologySpec::Nodes { count: 4 },
-            normalized_to_dram: 1.3706293706293706,
-            report: RunReport {
-                workload: "CG.C".into(),
-                policy: "Unimem".into(),
-                per_rank: vec![sample_stats(0), sample_stats(1)],
-                job: sample_stats(2),
-                plan_kind: Some(SearchKind::Global),
-            },
-        }
     }
 
     fn sample_config() -> SweepConfig {
@@ -645,12 +420,12 @@ mod tests {
         assert!(cache.load_cell(&key).is_none(), "empty cache misses");
         cache.store_cell(&key, &cell);
         let loaded = cache.load_cell(&key).expect("hit after store");
-        // Exactness proxy: the full-fidelity serialization of original
+        // Exactness proxy: report form plus migration split of original
         // and reconstruction must match byte for byte (covers every
         // field, including the u64 > 2^53 byte counter and plan_kind).
         assert_eq!(
-            cell_to_json(&loaded).to_compact(),
-            cell_to_json(&cell).to_compact()
+            full_form(loaded.to_json(), &loaded.report),
+            full_form(cell.to_json(), &cell.report)
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -663,46 +438,20 @@ mod tests {
         cfg.arbiters = vec![ArbiterPolicy::FairShare, ArbiterPolicy::Priority];
         let mix = CorunMix::parse("CG+FT").expect("mix parses");
         let key = cache.corun_key(&cfg, &mix, NvmProfile::Pcram, 8);
-        let group = vec![
-            CorunCell {
-                mix: "CG+FT".into(),
-                workload: "CG".into(),
-                tenant: "CG".into(),
-                weight: 4,
-                start_epoch: 0,
-                arbiter: ArbiterPolicy::FairShare,
-                profile: NvmProfile::Pcram,
-                nranks: 8,
-                solo_time_s: 4.203125,
-                slowdown: 1.2109375,
-                lease_min: Bytes(1 << 27),
-                lease_max: Bytes(1 << 28),
-                report: sample_cell().report,
-            },
-            CorunCell {
-                mix: "CG+FT".into(),
-                workload: "FT".into(),
-                tenant: "FT".into(),
-                weight: 1,
-                start_epoch: 2,
-                arbiter: ArbiterPolicy::Priority,
-                profile: NvmProfile::Pcram,
-                nranks: 8,
-                solo_time_s: 7.75,
-                slowdown: 1.046875,
-                lease_min: Bytes(0),
-                lease_max: Bytes(1 << 26),
-                report: sample_cell().report,
-            },
-        ];
+        let mut second = sample_corun_cell();
+        second.workload = "FT".into();
+        second.tenant = "FT".into();
+        second.arbiter = ArbiterPolicy::FairShare;
+        second.lease_min = Bytes(0);
+        let group = vec![sample_corun_cell(), second];
         assert!(cache.load_corun(&key).is_none());
         cache.store_corun(&key, &group);
         let loaded = cache.load_corun(&key).expect("hit after store");
         assert_eq!(loaded.len(), 2);
         for (a, b) in group.iter().zip(&loaded) {
             assert_eq!(
-                corun_cell_to_json(a).to_compact(),
-                corun_cell_to_json(b).to_compact()
+                full_form(a.to_json(), &a.report),
+                full_form(b.to_json(), &b.report)
             );
         }
         std::fs::remove_dir_all(&dir).ok();

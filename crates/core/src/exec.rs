@@ -48,7 +48,7 @@ use unimem_mpi::{
     collective_timing, CollectiveKind, NetParams, PhaseId, PhaseTracker, RankClock, RankPlacement,
 };
 use unimem_perf::sampler::GroundTruth;
-use unimem_sim::{default_workers, run_pool, run_pool_mut, Bytes, Channel, VDur, VTime};
+use unimem_sim::{default_workers, run_pool, run_pool_mut, Bytes, Channel, Json, VDur, VTime};
 
 pub use crate::policy::{Policy, UnimemConfig};
 
@@ -204,10 +204,10 @@ impl RunReport {
 
     /// The winning plan kind as JSON (`"global"`/`"local"`/`null`), the
     /// one convention every report serializer shares.
-    pub fn plan_kind_json(&self) -> unimem_sim::Json {
+    pub fn plan_kind_json(&self) -> Json {
         match self.plan_kind {
-            Some(k) => unimem_sim::Json::from(k.name()),
-            None => unimem_sim::Json::Null,
+            Some(k) => Json::from(k.name()),
+            None => Json::Null,
         }
     }
 
@@ -216,8 +216,7 @@ impl RunReport {
     /// rank order. Equal reports serialize to byte-identical text — the
     /// determinism regression tests compare these bytes across repeated
     /// multi-threaded runs.
-    pub fn to_json(&self) -> unimem_sim::Json {
-        use unimem_sim::Json;
+    pub fn to_json(&self) -> Json {
         let mut o = Json::obj();
         o.push("workload", self.workload.as_str())
             .push("policy", self.policy.as_str())
@@ -229,6 +228,79 @@ impl RunReport {
                 Json::Arr(self.per_rank.iter().map(RunStats::to_json).collect()),
             );
         o
+    }
+
+    /// Inverse of [`RunReport::to_json`]; the derived `time_s` is
+    /// ignored. Every stats block decodes with its migration
+    /// overlapped/exposed pair zeroed (see [`RunStats::from_json`]);
+    /// [`RunReport::set_migration_split`] restores it.
+    pub fn from_json(v: &Json) -> Result<RunReport, String> {
+        let plan_kind = match v.field("plan_kind")? {
+            Json::Null => None,
+            Json::Str(s) => {
+                Some(SearchKind::from_name(s).ok_or_else(|| format!("unknown plan_kind {s:?}"))?)
+            }
+            _ => return Err("member \"plan_kind\" is neither null nor a string".into()),
+        };
+        Ok(RunReport {
+            workload: v.string("workload")?,
+            policy: v.string("policy")?,
+            per_rank: v.decode("per_rank", |a| {
+                a.as_arr()
+                    .ok_or("not an array")?
+                    .iter()
+                    .map(RunStats::from_json)
+                    .collect()
+            })?,
+            job: v.decode("job", RunStats::from_json)?,
+            plan_kind,
+        })
+    }
+
+    /// The raw migration `[overlapped_s, exposed_s]` pair of every stats
+    /// block, job first, then each rank in order. The report form keeps
+    /// only the derived `overlap_pct`, which cannot give the pair back
+    /// bit-exactly, so a full-fidelity copy stores this beside
+    /// [`RunReport::to_json`].
+    pub fn migration_split(&self) -> Json {
+        let pair = |s: &RunStats| {
+            Json::Arr(vec![
+                s.migrations.overlapped.into(),
+                s.migrations.exposed.into(),
+            ])
+        };
+        Json::Arr(
+            std::iter::once(&self.job)
+                .chain(&self.per_rank)
+                .map(pair)
+                .collect(),
+        )
+    }
+
+    /// Restore a [`RunReport::migration_split`] onto this report. Errors
+    /// unless it holds exactly one numeric pair per stats block.
+    pub fn set_migration_split(&mut self, split: &Json) -> Result<(), String> {
+        let pairs = split.as_arr().ok_or("not an array")?;
+        if pairs.len() != 1 + self.per_rank.len() {
+            return Err(format!(
+                "{} pairs for {} stats blocks",
+                pairs.len(),
+                1 + self.per_rank.len()
+            ));
+        }
+        let blocks = std::iter::once(&mut self.job).chain(&mut self.per_rank);
+        for (s, pair) in blocks.zip(pairs) {
+            let numbers = match pair.as_arr() {
+                Some([o, e]) => (o.as_f64(), e.as_f64()),
+                _ => (None, None),
+            };
+            let (Some(overlapped), Some(exposed)) = numbers else {
+                return Err(format!("pair {pair} is not two numbers"));
+            };
+            s.migrations.overlapped = VDur(overlapped);
+            s.migrations.exposed = VDur(exposed);
+        }
+        Ok(())
     }
 }
 

@@ -1,11 +1,10 @@
 //! Run statistics: everything Table 4 and the harness summaries report.
 
-use serde::{Deserialize, Serialize};
 use unimem_hms::MigrationStats;
 use unimem_sim::{Bytes, Json, VDur};
 
 /// Statistics of one rank's run under one policy.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Total virtual execution time of the rank.
     pub total_time: VDur,
@@ -89,6 +88,35 @@ impl RunStats {
             .push("lease_replans", self.lease_replans)
             .push("iterations", self.iterations);
         o
+    }
+
+    /// Inverse of [`RunStats::to_json`]. The derived members
+    /// (`overlap_pct`, `pure_runtime_cost`) are ignored, so the raw
+    /// `migrations.{overlapped, exposed}` pair behind `overlap_pct`
+    /// decodes as zero; a caller that needs it exact stores it beside the
+    /// report form (see `unimem::exec::RunReport::migration_split`).
+    pub fn from_json(v: &Json) -> Result<RunStats, String> {
+        let secs = |k: &str| v.float(k).map(VDur);
+        Ok(RunStats {
+            total_time: secs("total_time_s")?,
+            app_time: secs("app_time_s")?,
+            profiling_overhead: secs("profiling_overhead_s")?,
+            modeling_overhead: secs("modeling_overhead_s")?,
+            sync_overhead: secs("sync_overhead_s")?,
+            migration_stall: secs("migration_stall_s")?,
+            contention_time: secs("contention_time_s")?,
+            neighbor_contention_time: secs("neighbor_contention_time_s")?,
+            migrations: MigrationStats {
+                count: v.uint("migration_count")?,
+                bytes: Bytes(v.uint("migrated_bytes")?),
+                to_dram_count: v.uint("migrations_to_dram")?,
+                to_nvm_count: v.uint("migrations_to_nvm")?,
+                ..MigrationStats::default()
+            },
+            reprofiles: v.uint("reprofiles")?,
+            lease_replans: v.uint("lease_replans")?,
+            iterations: v.uint("iterations")?,
+        })
     }
 
     /// Merge a peer rank's stats (for job-wide maxima/sums the harnesses

@@ -209,7 +209,7 @@ const TAG_COMM: u8 = 6;
 const TAG_EPOCH_COMMIT: u8 = 7;
 
 impl Record {
-    /// Serialize the payload (tag byte + fields, little-endian).
+    /// Encode the payload (tag byte + fields, little-endian).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(32);
         match self {

@@ -24,12 +24,11 @@ use crate::contention::HelperLink;
 use crate::journal::{JournalHandle, Record};
 use crate::object::UnitId;
 use crate::tier::TierKind;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use unimem_sim::{Bandwidth, Bytes, EventKind, TraceLog, VDur, VTime};
 
 /// One migration's lifecycle record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigRecord {
     pub unit: UnitId,
     pub to: TierKind,
@@ -61,7 +60,7 @@ impl MigRecord {
 }
 
 /// Aggregate migration statistics (Table 4 columns).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationStats {
     /// Times of migration (both directions, as the paper counts).
     pub count: u64,

@@ -1,8 +1,10 @@
 //! Minimal deterministic JSON document builder **and parser**.
 //!
-//! The vendored `serde` is a trait-only stub (see `vendor/README.md`), so
-//! machine-readable reports are built through this hand-rolled value tree
-//! instead. Two properties matter more than generality:
+//! Every machine-readable report is built through this hand-rolled value
+//! tree: each result type owns a `to_json` and, where it is read back, a
+//! `from_json` written against the member accessors below
+//! ([`Json::field`], [`Json::string`], [`Json::uint`], [`Json::float`],
+//! [`Json::decode`]). Two properties matter more than generality:
 //!
 //! * **Determinism** — object members keep insertion order, floats render
 //!   with Rust's shortest round-trip formatting, and nothing consults
@@ -11,12 +13,13 @@
 //! * **Self-containment** — no dependency beyond `std`, so every crate in
 //!   the workspace (and the sweep harness in particular) can emit reports.
 //!
-//! Non-finite floats have no JSON representation and render as `null`,
-//! matching what `serde_json` does with `arbitrary_precision` disabled.
+//! Non-finite floats have no JSON representation and render as `null`.
 //!
 //! [`Json::parse`] is the inverse, added for the sweep's incremental cell
 //! cache: cached cells are stored as JSON text and must reconstruct to
-//! values that re-serialize **byte-identically**. The round-trip contract
+//! values that re-serialize **byte-identically**. Its input is treated as
+//! hostile: nesting deeper than [`MAX_DEPTH`] is an error, not a stack
+//! overflow. The round-trip contract
 //! is `parse(v.to_compact())?.to_compact() == v.to_compact()` for every
 //! value this builder can produce, which hinges on two details: unsigned
 //! integer literals parse to [`Json::UInt`] (not a lossy `f64`) so `u64`
@@ -25,6 +28,11 @@
 //! re-renders to the same shortest form.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Real documents
+/// (reports, cache entries, perf baselines) nest about six levels; the
+/// bound only exists so a hostile input cannot exhaust the stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects preserve insertion order (no hashing) so the
 /// serialized form is a pure function of construction order.
@@ -97,6 +105,47 @@ impl Json {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    // Member accessors for decoders: each error names the member, so a
+    // decode failure (say, a corrupt cache entry) says what was wrong.
+
+    /// Member `key`, or an error naming it.
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing member {key:?}"))
+    }
+
+    /// String member `key`.
+    pub fn string(&self, key: &str) -> Result<String, String> {
+        self.field(key)?
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("member {key:?} is not a string"))
+    }
+
+    /// Unsigned-integer member `key` (lossless, see [`Json::as_u64`]).
+    pub fn uint(&self, key: &str) -> Result<u64, String> {
+        self.field(key)?
+            .as_u64()
+            .ok_or_else(|| format!("member {key:?} is not an unsigned integer"))
+    }
+
+    /// Numeric member `key`.
+    pub fn float(&self, key: &str) -> Result<f64, String> {
+        self.field(key)?
+            .as_f64()
+            .ok_or_else(|| format!("member {key:?} is not a number"))
+    }
+
+    /// Member `key` decoded by `decode`; errors from inside the member
+    /// are prefixed with its name, so nested failures read as a path.
+    pub fn decode<'a, T>(
+        &'a self,
+        key: &str,
+        decode: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        decode(self.field(key)?).map_err(|e| format!("member {key:?}: {e}"))
     }
 
     /// Compact single-line serialization.
@@ -205,11 +254,13 @@ impl Json {
     /// literals map back onto the numeric variants losslessly: unsigned
     /// integers to [`Json::UInt`], negative integers to [`Json::Int`],
     /// everything with a fraction or exponent (or beyond integer range)
-    /// to [`Json::Num`]. Errors carry the byte offset of the problem.
+    /// to [`Json::Num`]. Errors carry the byte offset of the problem,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -227,6 +278,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Open arrays/objects around `at`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -253,6 +306,15 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Enter one array/object level, refusing to go past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
         if self.bytes[self.at..].starts_with(word.as_bytes()) {
             self.at += word.len();
@@ -268,8 +330,18 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => {
+                self.descend()?;
+                let v = self.array();
+                self.depth -= 1;
+                v
+            }
+            Some(b'{') => {
+                self.descend()?;
+                let v = self.object();
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -427,7 +499,7 @@ impl<'a> Parser<'a> {
                 if let Ok(i) = text.parse::<i64>() {
                     return Ok(Json::Int(i));
                 }
-                // Magnitude beyond i64: fall through to f64 like serde_json.
+                // Magnitude beyond i64: fall through to f64.
                 let _ = digits;
             } else if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::UInt(u));
@@ -665,6 +737,46 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        // Far past the bound: an error at the offending byte, not a
+        // stack overflow.
+        let hostile = "[".repeat(1_000_000);
+        let err = Json::parse(&hostile).unwrap_err();
+        assert!(
+            err.contains(&format!("at byte {MAX_DEPTH}")) && err.contains("nesting"),
+            "{err}"
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
+        // Exactly at the bound still parses, arrays and objects mixed.
+        let mut deep = String::new();
+        for i in 0..MAX_DEPTH {
+            deep.push_str(if i % 2 == 0 { "[" } else { "{\"k\":" });
+        }
+        deep.push('0');
+        for i in (0..MAX_DEPTH).rev() {
+            deep.push(if i % 2 == 0 { ']' } else { '}' });
+        }
+        assert_eq!(Json::parse(&deep).unwrap().to_compact(), deep);
+        // One level deeper fails.
+        assert!(Json::parse(&format!("[{deep}]")).is_err());
+    }
+
+    #[test]
+    fn member_accessors_name_the_member() {
+        let s = sample();
+        assert_eq!(s.string("name"), Ok("CG.C".to_string()));
+        assert_eq!(s.uint("count"), Ok(42));
+        assert_eq!(s.float("time"), Ok(1.5));
+        assert!(s.field("missing").unwrap_err().contains("\"missing\""));
+        assert!(s.uint("name").unwrap_err().contains("\"name\""));
+        assert!(s.float("ok").unwrap_err().contains("\"ok\""));
+        assert!(s.string("count").unwrap_err().contains("\"count\""));
+        let nested = s.decode("tags", |t| t.uint("inner")).unwrap_err();
+        assert_eq!(nested, "member \"tags\": missing member \"inner\"");
     }
 
     #[test]

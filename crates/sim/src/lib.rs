@@ -20,8 +20,8 @@
 //!   neighbor flows by fence-epoch rates).
 //! * [`json`] — a deterministic JSON document builder **and parser** used
 //!   for the machine-readable run/sweep reports and the sweep's on-disk
-//!   cell cache (the vendored `serde` is a trait-only stub, so
-//!   serialization is hand-rolled here).
+//!   cell cache; every report type's `to_json`/`from_json` pair is
+//!   built on it.
 //! * [`hash`] — deterministic FNV-1a content hashing (vendored `fnv`):
 //!   the digest convention behind the content-addressed sweep cache.
 //! * [`crash`] — seeded virtual-time kill points for the crash-injection

@@ -7,9 +7,16 @@
 //! construction; these rewrites touch exactly the machinery that could
 //! break that — cross-thread visibility in the ledger, job ordering in
 //! the queue, name storage in the registry. So the guard is maximal:
-//! regenerate the reduced matrix on the serial path (`--jobs 1`) and on
-//! a wide pool (`--jobs 8`, oversubscribed on small hosts on purpose)
-//! and require both to equal the committed baseline byte-for-byte.
+//! regenerate the reduced matrix on the serial path (`--jobs 1`), a
+//! medium pool (`--jobs 4`) and a wide pool (`--jobs 8`, oversubscribed
+//! on small hosts on purpose) and require each to equal the committed
+//! baseline byte-for-byte.
+//!
+//! The same comparison is the zero-cost guard for the crash-consistency
+//! journal: with journaling disabled (the default — no `JournalRig`
+//! attached) the driver must reproduce the pre-journal bytes, and the
+//! committed report is those bytes (it differs from the pre-journal v4
+//! baseline only in the schema tag).
 
 use unimem_repro::bench::sweep::{run_sweep_cached, run_sweep_jobs, SweepCache, SweepConfig};
 
@@ -44,11 +51,20 @@ fn wide_pool_reproduces_the_committed_sweep_bytes() {
     assert_matches_golden(8);
 }
 
+/// The journal integration threads an `Option<JournalHandle>` through the
+/// driver, the policies, and the migration engine; this pins that the
+/// `None` path is not merely cheap but *invisible*: identical placement,
+/// identical virtual times, identical serialized stats on every cell.
+#[test]
+fn journal_disabled_path_reproduces_the_committed_sweep_bytes() {
+    assert_matches_golden(4);
+}
+
 /// The PR-10 reuse layer under the same maximal guard: a cold cached run
 /// and a fully-warm rerun of the reduced matrix must both reproduce the
 /// committed bytes exactly — on a warm run every cell is reconstructed
-/// from disk, so this exercises the full-fidelity (de)serialization of
-/// every cell the golden file contains.
+/// from disk, so this exercises the cache's decode path (report form plus
+/// migration split) on every cell the golden file contains.
 #[test]
 fn cached_runs_reproduce_the_committed_sweep_bytes() {
     let dir = std::env::temp_dir().join(format!("unimem-golden-cache-{}", std::process::id()));

@@ -933,3 +933,229 @@ mod sweep_cache_props {
         }
     }
 }
+
+/// Hostile cache entries. Real cell and co-run entries are mutated
+/// (truncations, byte flips, member deletions, wrong-length
+/// `migration_split` arrays, splices from another entry) and then
+/// *re-framed* with a valid length and FNV-1a-64 checksum, so the JSON
+/// decoders are reached and not just the frame check. Loading must never
+/// panic, and a following store + load must round-trip exactly.
+mod hostile_cache_entries {
+    use super::*;
+    use std::path::{Path, PathBuf};
+    use std::sync::OnceLock;
+    use unimem_repro::bench::sweep::{
+        run_sweep_cached, run_sweep_jobs, ArbiterPolicy, NvmProfile, PolicyKind, SweepCache,
+        SweepConfig, TopologySpec,
+    };
+    use unimem_repro::sim::{Fnv64, Json};
+    use unimem_repro::workloads::corun::CorunMix;
+    use unimem_repro::workloads::Class;
+
+    /// Entry framing: magic (8) + payload length (4, LE) + FNV-1a-64 (8, LE).
+    const HEADER_LEN: usize = 20;
+
+    fn cfg() -> SweepConfig {
+        SweepConfig {
+            class: Class::S,
+            workloads: vec!["CG".into()],
+            policies: vec![PolicyKind::DramOnly, PolicyKind::Unimem],
+            profiles: vec![NvmProfile::BwHalf],
+            ranks: vec![2],
+            ranks_per_node: vec![1],
+            topologies: vec![TopologySpec::Flat],
+            dram_capacity: None,
+            coruns: vec![CorunMix::parse("CG+FT").expect("mix parses")],
+            arbiters: vec![ArbiterPolicy::FairShare],
+        }
+    }
+
+    struct Fixture {
+        /// Every entry of a populated cache: file name, payload JSON.
+        entries: Vec<(String, Json)>,
+        /// The cacheless report.
+        plain: String,
+    }
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let dir = tmp("populate");
+            let store = SweepCache::open(&dir).expect("cache opens");
+            run_sweep_cached(&cfg(), 1, Some(&store)).expect("populating run");
+            let mut entries: Vec<(String, Json)> = std::fs::read_dir(&dir)
+                .expect("cache dir lists")
+                .map(|e| {
+                    let path = e.expect("dir entry").path();
+                    let bytes = std::fs::read(&path).expect("entry reads");
+                    let text = std::str::from_utf8(&bytes[HEADER_LEN..]).expect("UTF-8 payload");
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, Json::parse(text).expect("payload parses"))
+                })
+                .collect();
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            assert!(entries.iter().any(|(n, _)| n.ends_with(".cell")));
+            assert!(entries.iter().any(|(n, _)| n.ends_with(".corun")));
+            std::fs::remove_dir_all(&dir).ok();
+            let plain = run_sweep_jobs(&cfg(), 1).expect("cacheless run");
+            Fixture {
+                entries,
+                plain: plain.to_json().to_pretty(),
+            }
+        })
+    }
+
+    fn tmp(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        std::env::temp_dir().join(format!(
+            "unimem-hostile-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
+    fn write_framed(path: &Path, payload: &[u8]) {
+        let mut buf = b"UNIMEMSC".to_vec();
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&Fnv64::new().update(payload).finish().to_le_bytes());
+        buf.extend_from_slice(payload);
+        std::fs::write(path, buf).expect("entry writes");
+    }
+
+    /// Paths (child indices) of every node below the root.
+    fn paths(v: &Json, at: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let children: Vec<&Json> = match v {
+            Json::Arr(items) => items.iter().collect(),
+            Json::Obj(members) => members.iter().map(|(_, v)| v).collect(),
+            _ => return,
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            at.push(i);
+            out.push(at.clone());
+            paths(child, at, out);
+            at.pop();
+        }
+    }
+
+    fn node_mut<'a>(v: &'a mut Json, path: &[usize]) -> &'a mut Json {
+        path.iter().fold(v, |v, &i| match v {
+            Json::Arr(items) => &mut items[i],
+            Json::Obj(members) => &mut members[i].1,
+            _ => unreachable!("paths only descend into containers"),
+        })
+    }
+
+    fn pick<T: Clone>(items: &[T], r: u64) -> T {
+        items[(r % items.len() as u64) as usize].clone()
+    }
+
+    /// Apply mutation `kind` to `payload` (entry `own` of the fixture),
+    /// returning the payload bytes to frame.
+    fn mutate(fx: &Fixture, own: usize, kind: u8, a: u64, b: u64) -> Vec<u8> {
+        let mut doc = fx.entries[own].1.clone();
+        let mut all = Vec::new();
+        paths(&doc, &mut Vec::new(), &mut all);
+        match kind {
+            // Truncation at any byte.
+            0 => {
+                let text = doc.to_compact().into_bytes();
+                text[..(a % text.len() as u64) as usize].to_vec()
+            }
+            // A byte flipped by a non-zero mask.
+            1 => {
+                let mut text = doc.to_compact().into_bytes();
+                let at = (a % text.len() as u64) as usize;
+                text[at] ^= (b as u8) | 1;
+                text
+            }
+            // Delete any member or array item.
+            2 => {
+                let path = pick(&all, a);
+                let (last, parent) = path.split_last().expect("non-root path");
+                match node_mut(&mut doc, parent) {
+                    Json::Arr(items) => drop(items.remove(*last)),
+                    Json::Obj(members) => drop(members.remove(*last)),
+                    _ => unreachable!(),
+                }
+                doc.to_compact().into_bytes()
+            }
+            // A migration_split (or, in a co-run entry, one cell's split)
+            // one pair short or one pair long.
+            3 => {
+                let Json::Obj(members) = &mut doc else {
+                    panic!("payload is an object")
+                };
+                let split = &mut members
+                    .iter_mut()
+                    .find(|(k, _)| k == "migration_split")
+                    .expect("entry has a migration_split")
+                    .1;
+                let target = if fx.entries[own].0.ends_with(".corun") && a.is_multiple_of(2) {
+                    let Json::Arr(per_cell) = split else { panic!() };
+                    let i = (b % per_cell.len() as u64) as usize;
+                    &mut per_cell[i]
+                } else {
+                    split
+                };
+                let Json::Arr(pairs) = target else { panic!() };
+                if b.is_multiple_of(2) {
+                    pairs.pop();
+                } else {
+                    pairs.push(pairs[0].clone());
+                }
+                doc.to_compact().into_bytes()
+            }
+            // Splice: any node replaced by any node of another entry.
+            _ => {
+                let other = &fx.entries[((own as u64 + 1 + a % (fx.entries.len() as u64 - 1))
+                    % fx.entries.len() as u64) as usize]
+                    .1;
+                let mut theirs = Vec::new();
+                paths(other, &mut Vec::new(), &mut theirs);
+                let donor = node_mut(&mut other.clone(), &pick(&theirs, b)).clone();
+                *node_mut(&mut doc, &pick(&all, a / 7)) = donor;
+                doc.to_compact().into_bytes()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn hostile_entries_never_panic_and_the_cache_heals(
+            entry in any::<u64>(),
+            kind in 0u8..5,
+            a in any::<u64>(),
+            b in any::<u64>(),
+        ) {
+            let fx = fixture();
+            let own = (entry % fx.entries.len() as u64) as usize;
+            let dir = tmp("case");
+            let store = SweepCache::open(&dir).expect("cache opens");
+            for (name, doc) in &fx.entries {
+                write_framed(&dir.join(name), doc.to_compact().as_bytes());
+            }
+            let hostile = dir.join(&fx.entries[own].0);
+            write_framed(&hostile, &mutate(fx, own, kind, a, b));
+
+            // Whatever the entry now says, loading it must not panic.
+            let first = run_sweep_cached(&cfg(), 1, Some(&store)).expect("hostile run");
+            if first.cache_hits < first.cache_lookups {
+                // Discarded as corrupt: recomputed exactly and rewritten.
+                prop_assert_eq!(&first.to_json().to_pretty(), &fx.plain);
+            } else {
+                // It decoded (the frame was made valid on purpose, so the
+                // data is whatever was written): drop it to force a store.
+                std::fs::remove_file(&hostile).expect("entry removes");
+            }
+            let second = run_sweep_cached(&cfg(), 1, Some(&store)).expect("healing run");
+            prop_assert_eq!(&second.to_json().to_pretty(), &fx.plain);
+            let third = run_sweep_cached(&cfg(), 1, Some(&store)).expect("warm run");
+            prop_assert_eq!(third.cache_hits, third.cache_lookups, "stored entries load back");
+            prop_assert_eq!(&third.to_json().to_pretty(), &fx.plain);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
