@@ -4,13 +4,16 @@
 //! virtual costs for: the knapsack solver, the sampler, the analytic cache
 //! model, the contended-bandwidth query, the real helper thread + FIFO
 //! queue (actual memcpy between the accounted pools), mini-MPI
-//! collectives, and a full driver step.
+//! collectives, and a full driver step — plus the JSON codec a warm
+//! sweep spends its time in: parsing one cell-cache entry and writing a
+//! sweep report.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use unimem::exec::{run_workload, Policy};
 use unimem::knapsack::{solve, Item};
+use unimem_bench::sweep::{run_sweep, run_sweep_cached, PolicyKind, SweepCache, SweepConfig};
 use unimem_cache::{AccessPattern, CacheModel, ObjAccess};
 use unimem_hms::object::ObjId;
 use unimem_hms::pools::{HelperThread, RealHms};
@@ -19,7 +22,7 @@ use unimem_hms::{FlowScope, MachineConfig, SharedBandwidth};
 use unimem_mpi::{CommWorld, NetParams};
 use unimem_perf::kernels::{build_chase_ring, pointer_chase, stream_triad};
 use unimem_perf::sampler::{GroundTruth, Sampler, SamplerConfig};
-use unimem_sim::{Bytes, DetRng, VDur, VTime};
+use unimem_sim::{Bytes, DetRng, Json, VDur, VTime};
 use unimem_workloads::{by_name, Class};
 
 fn bench_knapsack(c: &mut Criterion) {
@@ -195,6 +198,34 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
+fn bench_json(c: &mut Criterion) {
+    // A real cell entry: fill a throwaway cache with one reduced-matrix
+    // Unimem cell and take the payload after the 20-byte frame header.
+    let mut cfg = SweepConfig::reduced();
+    cfg.workloads.truncate(1);
+    cfg.policies = vec![PolicyKind::Unimem];
+    cfg.profiles.truncate(1);
+    cfg.ranks.truncate(1);
+    cfg.coruns.clear();
+    let dir = std::env::temp_dir().join(format!("unimem-micro-json-{}", std::process::id()));
+    let store = SweepCache::open(&dir).unwrap();
+    run_sweep_cached(&cfg, 1, Some(&store)).unwrap();
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "cell"))
+        .unwrap();
+    let payload = String::from_utf8(std::fs::read(&entry).unwrap()[20..].to_vec()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    c.bench_function("json_parse_cell_entry", |b| {
+        b.iter(|| Json::parse(black_box(&payload)).unwrap())
+    });
+    let report = run_sweep(&SweepConfig::reduced()).unwrap().to_json();
+    c.bench_function("json_to_pretty_report", |b| {
+        b.iter(|| black_box(&report).to_pretty())
+    });
+}
+
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
@@ -205,6 +236,7 @@ criterion_group!(
     bench_helper_thread,
     bench_collectives,
     bench_driver,
-    bench_kernels
+    bench_kernels,
+    bench_json
 );
 criterion_main!(micro);

@@ -28,9 +28,9 @@
 //!   behavior-affecting engine change, and a caller salt — any of them
 //!   changing strands old entries harmlessly (content-addressing means
 //!   they are simply never looked up again). FNV-1a is not
-//!   cryptographic, so the full canonical key text is stored inside the
-//!   entry and compared on load; a digest collision degrades to a miss,
-//!   never to wrong data.
+//!   cryptographic, so the full canonical key document is stored inside
+//!   the entry and compared, as a parsed value, on load; a digest
+//!   collision degrades to a miss, never to wrong data.
 //! * **Corruption is a miss.** Entries are framed with the redo
 //!   journal's discipline — magic, length, FNV-1a-64 checksum — and any
 //!   verification failure (truncation, bit flip, bad magic, unparsable
@@ -38,14 +38,17 @@
 //!   recomputation. A corrupt cache can cost time, never correctness.
 //!
 //! Entries are written atomically (temp file + rename) so a crashed
-//! sweep leaves either a complete entry or none.
+//! sweep leaves either a complete entry or none. A sweep's lookups read
+//! and check the frames on its worker pool, and parse, key-check and
+//! decode them on the calling thread in job order
+//! (`SweepCache::load_cells`), so warnings are the same at any width.
 
 use crate::sweep::matrix::{NvmProfile, PolicyKind, SweepConfig, TopologySpec};
 use crate::sweep::report::SCHEMA as SWEEP_SCHEMA;
 use crate::sweep::runner::{CorunCell, SweepCell};
 use std::io;
 use std::path::{Path, PathBuf};
-use unimem_sim::{json_digest_hex, Fnv64, Json};
+use unimem_sim::{run_pool, Fnv128, Fnv64, Json};
 use unimem_workloads::corun::CorunMix;
 
 /// Cache entry schema tag; part of every key document. Bump when the
@@ -64,6 +67,12 @@ const MAGIC: &[u8; 8] = b"UNIMEMSC";
 
 /// Framed header size: magic (8) + payload length (4) + FNV-1a-64 (8).
 const HEADER_LEN: usize = 20;
+
+/// Most entry frames a pooled load holds at once. Unbatched, the full
+/// matrix held all 1,485 payloads (5.7 MB) before decoding the first, and
+/// peak RSS rose about 6 MiB; at 256 it is flat, and the pool starts six
+/// times for the matrix's 1,470 cells.
+const FRAME_BATCH: usize = 256;
 
 /// A content-addressed store of finished sweep cells under one
 /// directory. Cheap to construct; all state is on disk.
@@ -163,13 +172,17 @@ impl SweepCache {
     /// exist, with a stderr warning when it exists but fails
     /// verification (the caller recomputes either way).
     pub(crate) fn load_cell(&self, key: &CacheKey) -> Option<SweepCell> {
-        self.load(key, |doc| {
-            let mut cell = doc.decode("cell", SweepCell::from_json)?;
-            doc.decode("migration_split", |split| {
-                cell.report.set_migration_split(split)
-            })?;
-            Ok(cell)
-        })
+        self.finish_load(key, read_frame(&key.path_in(&self.dir)), &decode_cell)
+    }
+
+    /// [`SweepCache::load_cell`] for every key, results in key order.
+    /// See [`SweepCache::load_many`] for how `n_workers` splits the work.
+    pub(crate) fn load_cells(
+        &self,
+        keys: &[CacheKey],
+        n_workers: usize,
+    ) -> Result<Vec<Option<SweepCell>>, String> {
+        self.load_many(keys, n_workers, &decode_cell)
     }
 
     /// Persist a finished cell under its key. Write failures warn and
@@ -179,27 +192,15 @@ impl SweepCache {
         self.store(key, "cell", cell.to_json(), cell.report.migration_split());
     }
 
-    /// Look a co-run group up (all arbiters × tenants of one
-    /// `(profile, mix)` pair, in canonical order).
-    pub(crate) fn load_corun(&self, key: &CacheKey) -> Option<Vec<CorunCell>> {
-        self.load(key, |doc| {
-            let items = doc.decode("cells", |v| v.as_arr().ok_or("not an array".into()))?;
-            let splits = doc.decode("migration_split", |v| {
-                v.as_arr()
-                    .filter(|s| s.len() == items.len())
-                    .ok_or(format!("not an array of {} splits", items.len()))
-            })?;
-            let decode = |item: &Json, split: &Json| {
-                let mut cell = CorunCell::from_json(item)?;
-                cell.report.set_migration_split(split)?;
-                Ok(cell)
-            };
-            (items.iter().zip(splits).enumerate())
-                .map(|(i, (item, split))| {
-                    decode(item, split).map_err(|e: String| format!("co-run cell {i}: {e}"))
-                })
-                .collect()
-        })
+    /// Look every co-run group up (each group: all arbiters × tenants of
+    /// one `(profile, mix)` pair, in canonical order), results in key
+    /// order. See [`SweepCache::load_many`].
+    pub(crate) fn load_coruns(
+        &self,
+        keys: &[CacheKey],
+        n_workers: usize,
+    ) -> Result<Vec<Option<Vec<CorunCell>>>, String> {
+        self.load_many(keys, n_workers, &decode_corun)
     }
 
     /// Persist a finished co-run group under its key.
@@ -209,24 +210,46 @@ impl SweepCache {
         self.store(key, "cells", Json::Arr(items), Json::Arr(splits));
     }
 
-    fn load<T>(
+    /// Load every key, results in key order. The keys go in batches of
+    /// [`FRAME_BATCH`]: a pool of `n_workers` reads the batch's frames
+    /// (file, magic, length, checksum, UTF-8; inline when `n_workers <= 1`),
+    /// then the calling thread parses, key-checks and decodes them in key
+    /// order — so discard warnings print in the same order at any width.
+    /// `Err` only if a frame read panicked.
+    fn load_many<T>(
+        &self,
+        keys: &[CacheKey],
+        n_workers: usize,
+        decode: &Decoder<T>,
+    ) -> Result<Vec<Option<T>>, String> {
+        let mut out = Vec::with_capacity(keys.len());
+        for keys in keys.chunks(FRAME_BATCH) {
+            let frames = run_pool(keys.iter().collect(), n_workers, |key| {
+                Ok(read_frame(&key.path_in(&self.dir)))
+            })?;
+            out.extend(
+                (keys.iter().zip(frames)).map(|(key, frame)| self.finish_load(key, frame, decode)),
+            );
+        }
+        Ok(out)
+    }
+
+    /// The caller's half of a load: parse the frame's payload, check its
+    /// key and decode it. `None` on a miss, with a warning when the
+    /// entry existed but failed any check.
+    fn finish_load<T>(
         &self,
         key: &CacheKey,
-        decode: impl FnOnce(&Json) -> Result<T, String>,
+        frame: Result<String, ReadError>,
+        decode: &Decoder<T>,
     ) -> Option<T> {
-        let path = key.path_in(&self.dir);
-        let decoded = match read_entry(&path, &key.canon) {
-            Ok(doc) => decode(&doc),
+        let decoded = match frame {
+            Ok(payload) => check_entry(&payload, &key.doc).and_then(|doc| decode(&doc)),
             Err(ReadError::Missing) => return None,
             Err(ReadError::Corrupt(why)) => Err(why),
         };
         decoded
-            .map_err(|why| {
-                eprintln!(
-                    "sweep cache: discarding corrupt entry {}: {why}",
-                    path.display()
-                )
-            })
+            .map_err(|why| warn_discard(&key.path_in(&self.dir), &why))
             .ok()
     }
 
@@ -241,6 +264,82 @@ impl SweepCache {
             eprintln!("sweep cache: failed to write {}: {e}", path.display());
         }
     }
+}
+
+/// Decodes a verified entry document into a cache value.
+type Decoder<T> = dyn Fn(&Json) -> Result<T, String>;
+
+fn decode_cell(doc: &Json) -> Result<SweepCell, String> {
+    let mut cell = doc.decode("cell", SweepCell::from_json)?;
+    doc.decode("migration_split", |split| {
+        cell.report.set_migration_split(split)
+    })?;
+    Ok(cell)
+}
+
+fn decode_corun(doc: &Json) -> Result<Vec<CorunCell>, String> {
+    let items = doc.decode("cells", |v| v.as_arr().ok_or("not an array".into()))?;
+    let splits = doc.decode("migration_split", |v| {
+        v.as_arr()
+            .filter(|s| s.len() == items.len())
+            .ok_or(format!("not an array of {} splits", items.len()))
+    })?;
+    let decode = |item: &Json, split: &Json| {
+        let mut cell = CorunCell::from_json(item)?;
+        cell.report.set_migration_split(split)?;
+        Ok(cell)
+    };
+    (items.iter().zip(splits).enumerate())
+        .map(|(i, (item, split))| {
+            decode(item, split).map_err(|e: String| format!("co-run cell {i}: {e}"))
+        })
+        .collect()
+}
+
+/// Warn that the entry at `path` is discarded. Loads call this on the
+/// sweep's calling thread only.
+fn warn_discard(path: &Path, why: &str) {
+    let warning = format!(
+        "sweep cache: discarding corrupt entry {}: {why}",
+        path.display()
+    );
+    #[cfg(test)]
+    let Some(warning) = capture(warning) else {
+        return;
+    };
+    eprintln!("{warning}");
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Discard warnings captured by [`capture_warnings`] on this thread.
+    static CAPTURED: std::cell::RefCell<Option<Vec<String>>> = const { std::cell::RefCell::new(None) };
+}
+
+/// Run `f`, collecting the discard warnings this thread prints meanwhile
+/// instead of printing them. A warning printed from any other thread is
+/// not captured (and so shows up as missing).
+#[cfg(test)]
+pub(crate) fn capture_warnings<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
+    CAPTURED.with(|log| *log.borrow_mut() = Some(Vec::new()));
+    let out = f();
+    let warnings = CAPTURED
+        .with(|log| log.borrow_mut().take())
+        .unwrap_or_default();
+    (out, warnings)
+}
+
+/// Keep `warning` when this thread is inside [`capture_warnings`];
+/// otherwise hand it back to be printed.
+#[cfg(test)]
+fn capture(warning: String) -> Option<String> {
+    CAPTURED.with(|log| match log.borrow_mut().as_mut() {
+        Some(log) => {
+            log.push(warning);
+            None
+        }
+        None => Some(warning),
+    })
 }
 
 /// The shared head of every key document: schemas, fingerprint, salt,
@@ -264,27 +363,23 @@ fn key_preamble(entry: &str, salt: &str, cfg: &SweepConfig) -> Json {
     doc
 }
 
-/// A derived cache key: the canonical key document, its compact text
-/// (stored in the entry and compared on load — the collision guard), and
-/// the digest that names the entry file.
+/// A derived cache key: the canonical key document (stored in the entry
+/// and compared on load — the collision guard) and the digest of its
+/// compact text that names the entry file.
 #[derive(Debug, Clone)]
 pub(crate) struct CacheKey {
     doc: Json,
-    canon: String,
     hex: String,
     kind: &'static str,
 }
 
 impl CacheKey {
     fn of(doc: Json, kind: &'static str) -> CacheKey {
-        let canon = doc.to_compact();
-        let hex = json_digest_hex(&doc);
-        CacheKey {
-            doc,
-            canon,
-            hex,
-            kind,
-        }
+        // `json_digest_hex(&doc)`, serializing the document once.
+        let hex = Fnv128::new()
+            .update(doc.to_compact().as_bytes())
+            .finish_hex();
+        CacheKey { doc, hex, kind }
     }
 
     fn path_in(&self, dir: &Path) -> PathBuf {
@@ -301,15 +396,19 @@ fn crc64(payload: &[u8]) -> u64 {
 /// Write one framed entry atomically: temp file in the same directory,
 /// then rename over the final name.
 fn write_entry(path: &Path, doc: &Json) -> io::Result<()> {
-    let payload = doc.to_compact().into_bytes();
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, frame(doc.to_compact().as_bytes()))?;
+    std::fs::rename(&tmp, path)
+}
+
+/// Magic, length and checksum header, then `payload`.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc64(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &buf)?;
-    std::fs::rename(&tmp, path)
+    buf.extend_from_slice(&crc64(payload).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf
 }
 
 enum ReadError {
@@ -319,11 +418,11 @@ enum ReadError {
     Corrupt(String),
 }
 
-/// Read and verify one framed entry: magic, exact length, checksum,
-/// UTF-8, JSON, and key equality against `expected_canon`.
-fn read_entry(path: &Path, expected_canon: &str) -> Result<Json, ReadError> {
+/// Read and verify one entry's frame: magic, exact length, checksum and
+/// UTF-8. Returns the payload text.
+fn read_frame(path: &Path) -> Result<String, ReadError> {
     use ReadError::Corrupt;
-    let buf = match std::fs::read(path) {
+    let mut buf = match std::fs::read(path) {
         Ok(buf) => buf,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(ReadError::Missing),
         Err(e) => return Err(Corrupt(format!("read failed: {e}"))),
@@ -346,15 +445,19 @@ fn read_entry(path: &Path, expected_canon: &str) -> Result<Json, ReadError> {
     if crc64(payload) != crc {
         return Err(Corrupt("checksum mismatch".into()));
     }
-    let text = std::str::from_utf8(payload).map_err(|e| Corrupt(format!("not UTF-8: {e}")))?;
-    let doc = Json::parse(text).map_err(|e| Corrupt(format!("unparsable payload: {e}")))?;
-    let key = doc
-        .get("key")
-        .ok_or_else(|| Corrupt("entry has no \"key\" member".into()))?;
-    if key.to_compact() != expected_canon {
-        return Err(Corrupt(
-            "key mismatch (digest collision or misnamed file)".into(),
-        ));
+    buf.drain(..HEADER_LEN);
+    String::from_utf8(buf).map_err(|e| Corrupt(format!("not UTF-8: {e}")))
+}
+
+/// Parse a verified payload and check its stored key against `expected`.
+/// The parsed key must equal the key document itself, not merely
+/// re-serialize to the same text (`4.0` stored for `4` is a mismatch).
+/// Key documents hold no floats, so equal values also mean equal text.
+fn check_entry(payload: &str, expected: &Json) -> Result<Json, String> {
+    let doc = Json::parse(payload).map_err(|e| format!("unparsable payload: {e}"))?;
+    let key = doc.get("key").ok_or("entry has no \"key\" member")?;
+    if key != expected {
+        return Err("key mismatch (digest collision or misnamed file)".into());
     }
     Ok(doc)
 }
@@ -373,6 +476,11 @@ mod tests {
     /// the report form derives `overlap_pct` from.
     fn full_form(report_form: Json, report: &RunReport) -> String {
         format!("{report_form}{}", report.migration_split())
+    }
+
+    fn load_corun(cache: &SweepCache, key: &CacheKey) -> Option<Vec<CorunCell>> {
+        let mut loaded = cache.load_coruns(std::slice::from_ref(key), 1).unwrap();
+        loaded.pop().unwrap()
     }
 
     fn tmp_dir() -> PathBuf {
@@ -444,9 +552,9 @@ mod tests {
         second.arbiter = ArbiterPolicy::FairShare;
         second.lease_min = Bytes(0);
         let group = vec![sample_corun_cell(), second];
-        assert!(cache.load_corun(&key).is_none());
+        assert!(load_corun(&cache, &key).is_none());
         cache.store_corun(&key, &group);
-        let loaded = cache.load_corun(&key).expect("hit after store");
+        let loaded = load_corun(&cache, &key).expect("hit after store");
         assert_eq!(loaded.len(), 2);
         for (a, b) in group.iter().zip(&loaded) {
             assert_eq!(
@@ -555,6 +663,64 @@ mod tests {
             .push("cell", "not an object");
         write_entry(&key.path_in(cache.dir()), &doc).expect("write");
         assert!(cache.load_cell(&key).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn corun_key_for(cache: &SweepCache) -> CacheKey {
+        let mut cfg = sample_config();
+        cfg.arbiters = vec![ArbiterPolicy::FairShare, ArbiterPolicy::Priority];
+        let mix = CorunMix::parse("CG+FT").expect("mix parses");
+        cache.corun_key(&cfg, &mix, NvmProfile::Pcram, 8)
+    }
+
+    /// Entry file names are the digest of the key's compact text, hashed
+    /// once; they must not move.
+    #[test]
+    fn key_digest_is_the_json_digest_of_the_key_document() {
+        let cache = SweepCache::open(tmp_dir()).expect("open");
+        for key in [key_for(&cache), corun_key_for(&cache)] {
+            assert_eq!(key.hex, unimem_sim::json_digest_hex(&key.doc));
+        }
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    /// The load compares the parsed key with the key document itself, so
+    /// every key document must parse back to an equal value — otherwise
+    /// its entries could never hit.
+    #[test]
+    fn key_documents_parse_back_equal() {
+        let cache = SweepCache::open(tmp_dir()).expect("open");
+        for key in [key_for(&cache), corun_key_for(&cache)] {
+            assert_eq!(Json::parse(&key.doc.to_compact()), Ok(key.doc.clone()));
+        }
+        std::fs::remove_dir_all(cache.dir()).ok();
+    }
+
+    /// A stored key that only re-serializes to the expected text (`4.0`
+    /// for `4`) is not the expected key: the entry is a miss.
+    #[test]
+    fn key_equal_only_after_reserializing_is_a_miss() {
+        let dir = tmp_dir();
+        let cache = SweepCache::open(&dir).expect("open");
+        let key = key_for(&cache);
+        let path = key.path_in(cache.dir());
+        cache.store_cell(&key, &sample_cell());
+        let whole = std::fs::read(&path).expect("entry exists");
+        let payload = std::str::from_utf8(&whole[HEADER_LEN..]).expect("UTF-8");
+        assert!(payload.starts_with("{\"key\":{"), "the key comes first");
+        let edited = payload.replacen("\"nranks\":4,", "\"nranks\":4.0,", 1);
+        let stored_key = |text: &str| Json::parse(text).unwrap().get("key").cloned().unwrap();
+        assert_eq!(stored_key(&edited).get("nranks"), Some(&Json::Num(4.0)));
+        assert_eq!(
+            stored_key(&edited).to_compact(),
+            key.doc.to_compact(),
+            "the edited key re-serializes to the expected text"
+        );
+        std::fs::write(&path, frame(edited.as_bytes())).expect("rewrite");
+        let (loaded, warnings) = capture_warnings(|| cache.load_cell(&key));
+        assert!(loaded.is_none());
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("key mismatch"), "{warnings:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -392,35 +392,37 @@ pub fn run_sweep_cached(
         ));
     }
 
-    // Cache pre-pass (serial, cheap relative to a single cell run):
-    // resolve every already-finished cell before anything executes. The
-    // key uses the *row* layout; clustered cells re-derive their real
+    // Cache pre-pass: resolve every already-finished cell before anything
+    // executes. Entry frames are read on the pool; parsing, the key check
+    // and decoding run on this thread in job order, so discard warnings
+    // print in the same order at any width (see `SweepCache::load_cells`).
+    // The key uses the *row* layout; clustered cells re-derive their real
     // packing from the topology on both the compute and the cached path.
     let cell_jobs = enumerate_cells(&cfg, &rows);
-    let mut lookups = 0usize;
-    let mut hits = 0usize;
-    let mut cached_cells: Vec<Option<SweepCell>> = vec![None; cell_jobs.len()];
-    let mut cell_keys = Vec::with_capacity(cell_jobs.len());
-    if let Some(store) = store {
-        for (slot, job) in cached_cells.iter_mut().zip(&cell_jobs) {
-            let (short, _) = &selection[job.row.workload];
-            let key = store.cell_key(
-                &cfg,
-                short,
-                job.policy,
-                job.row.profile,
-                job.row.nranks,
-                job.row.ranks_per_node,
-                &cfg.topologies[job.row.topology],
-            );
-            lookups += 1;
-            if let Some(cell) = store.load_cell(&key) {
-                hits += 1;
-                *slot = Some(cell);
-            }
-            cell_keys.push(key);
+    let (cell_keys, cached_cells) = match store {
+        None => (Vec::new(), vec![None; cell_jobs.len()]),
+        Some(store) => {
+            let keys: Vec<_> = (cell_jobs.iter())
+                .map(|job| {
+                    store.cell_key(
+                        &cfg,
+                        &selection[job.row.workload].0,
+                        job.policy,
+                        job.row.profile,
+                        job.row.nranks,
+                        job.row.ranks_per_node,
+                        &cfg.topologies[job.row.topology],
+                    )
+                })
+                .collect();
+            let cells = store
+                .load_cells(&keys, n_workers)
+                .map_err(|e| format!("sweep cache read failed: {e}"))?;
+            (keys, cells)
         }
-    }
+    };
+    let mut lookups = cell_keys.len();
+    let mut hits = cached_cells.iter().flatten().count();
 
     // Stage 1: DRAM-only baselines, in parallel — but only for rows that
     // still have a cell to run. Failures (including panics) carry the
@@ -603,19 +605,20 @@ pub fn run_sweep_cached(
     // arbiter, tenant) order. The group is the unit of execution, so it
     // is also the unit of caching.
     let corun_jobs = enumerate_coruns(&cfg);
-    let mut cached_groups: Vec<Option<Vec<CorunCell>>> = vec![None; corun_jobs.len()];
-    let mut corun_keys = Vec::with_capacity(corun_jobs.len());
-    if let Some(store) = store {
-        for (slot, job) in cached_groups.iter_mut().zip(&corun_jobs) {
-            let key = store.corun_key(&cfg, &cfg.coruns[job.mix], job.profile, job.nranks);
-            lookups += 1;
-            if let Some(group) = store.load_corun(&key) {
-                hits += 1;
-                *slot = Some(group);
-            }
-            corun_keys.push(key);
+    let (corun_keys, cached_groups) = match store {
+        None => (Vec::new(), vec![None; corun_jobs.len()]),
+        Some(store) => {
+            let keys: Vec<_> = (corun_jobs.iter())
+                .map(|job| store.corun_key(&cfg, &cfg.coruns[job.mix], job.profile, job.nranks))
+                .collect();
+            let groups = store
+                .load_coruns(&keys, n_workers)
+                .map_err(|e| format!("sweep cache read failed: {e}"))?;
+            (keys, groups)
         }
-    }
+    };
+    lookups += corun_keys.len();
+    hits += cached_groups.iter().flatten().count();
     let missed_coruns: Vec<(usize, CorunJob)> = cached_groups
         .iter()
         .enumerate()
@@ -1003,6 +1006,60 @@ mod tests {
         );
         assert_eq!(p, c, "the cache must be invisible in the bytes (cold)");
         assert_eq!(p, w, "the cache must be invisible in the bytes (warm)");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Corrupt entries are reported from the calling thread in job
+    /// order: the pooled pre-pass (`--jobs 4`) prints the same warnings
+    /// in the same order as the serial one, hits the same entries, and
+    /// the report is the cacheless one. One entry fails its frame check
+    /// (read on the pool), the other its key check (on the caller).
+    #[test]
+    fn corrupt_entry_warnings_are_the_same_at_any_width() {
+        let dir =
+            std::env::temp_dir().join(format!("unimem-runner-corrupt-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = micro();
+        cfg.profiles = vec![NvmProfile::BwHalf, NvmProfile::Lat4x];
+        cfg.coruns = unimem_workloads::parse_mixes(&["CG+LU"]).unwrap();
+        cfg.arbiters = vec![ArbiterPolicy::FairShare];
+        let store = SweepCache::open(&dir).expect("cache opens");
+        let plain = run_sweep_jobs(&cfg, 1).expect("cacheless run");
+        run_sweep_cached(&cfg, 2, Some(&store)).expect("cold run fills the cache");
+        // Two cell entries, so both are looked up in one pooled batch.
+        let mut entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "cell"))
+            .collect();
+        entries.sort();
+        assert_eq!(entries.len(), 4, "one entry per cell");
+        let corrupt = || {
+            let mut flipped = std::fs::read(&entries[0]).unwrap();
+            let mid = flipped.len() / 2;
+            flipped[mid] ^= 0x40;
+            std::fs::write(&entries[0], flipped).unwrap();
+            std::fs::copy(&entries[2], &entries[1]).unwrap();
+        };
+        let runs: Vec<_> = [1, 4]
+            .into_iter()
+            .map(|jobs| {
+                // Each run recomputes and re-stores both entries.
+                corrupt();
+                let (report, warnings) = crate::sweep::cache::capture_warnings(|| {
+                    run_sweep_cached(&cfg, jobs, Some(&store)).expect("warm run")
+                });
+                let bytes = report.to_json().to_pretty();
+                (warnings, report.cache_hits, report.cache_lookups, bytes)
+            })
+            .collect();
+        let (warnings, hits, lookups, bytes) = &runs[0];
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert!(warnings.iter().any(|w| w.contains("checksum mismatch")));
+        assert!(warnings.iter().any(|w| w.contains("key mismatch")));
+        assert_eq!((*hits, *lookups), (4, 6));
+        assert!(*bytes == plain.to_json().to_pretty(), "cacheless bytes");
+        assert!(runs[0] == runs[1], "--jobs 1 and --jobs 4 disagree");
         std::fs::remove_dir_all(&dir).ok();
     }
 

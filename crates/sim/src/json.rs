@@ -26,6 +26,25 @@
 //! counters above 2^53 survive, and fractional/exponent literals parse
 //! through Rust's correctly-rounded `str::parse::<f64>`, whose result
 //! re-renders to the same shortest form.
+//!
+//! Both directions are on the warm sweep's path (a full-matrix rerun
+//! parses 1,485 cache entries and writes an 8 MB report), so each keeps a
+//! fast path for the common case and the full path for the rest:
+//!
+//! * **Parser.** The input is a `&str`, already valid UTF-8, and every
+//!   token boundary is an ASCII byte, so strings and numbers are sliced
+//!   out of it with no per-token UTF-8 check. A string without escapes
+//!   is found in one scan to its closing quote and copied into one
+//!   exact-size allocation; only a string holding a `\` takes the
+//!   decoding loop. Arrays and objects collect their elements on a
+//!   scratch stack in the parser and close into one exact-size `Vec`.
+//! * **Writer.** A string with nothing to escape is pushed whole,
+//!   indentation is pushed as slices of a space constant, and unsigned
+//!   and signed integers are formatted without `fmt`. Floats keep std's
+//!   shortest round-trip `Display`.
+//!
+//! `tests/json_differential.rs` runs both against a frozen copy of the
+//! plain code they replaced: same values, same errors, same bytes.
 
 use std::fmt;
 
@@ -151,35 +170,38 @@ impl Json {
     /// Compact single-line serialization.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0)
-            .expect("fmt to String cannot fail");
+        self.write(&mut out, None, 0);
         out
     }
 
     /// Pretty serialization with two-space indentation and a trailing
     /// newline (the on-disk `BENCH_*.json` format).
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0)
-            .expect("fmt to String cannot fail");
+        let mut out = String::with_capacity(OUT_START);
+        self.write(&mut out, Some(2), 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) -> fmt::Result {
-        use fmt::Write;
+    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
-            Json::Null => out.write_str("null"),
-            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => write!(out, "{u}"),
-            Json::Int(i) => write!(out, "{i}"),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::UInt(u) => write_u64(out, *u),
+            Json::Int(i) => {
+                if *i < 0 {
+                    out.push('-');
+                }
+                write_u64(out, i.unsigned_abs());
+            }
             Json::Num(n) => {
                 if n.is_finite() {
                     // Shortest round-trip form; deterministic across runs
                     // and hosts for identical bit patterns.
-                    write!(out, "{n}")
+                    use fmt::Write;
+                    write!(out, "{n}").expect("fmt to String cannot fail");
                 } else {
-                    out.write_str("null")
+                    out.push_str("null");
                 }
             }
             Json::Str(s) => write_escaped(out, s),
@@ -188,11 +210,47 @@ impl Json {
             }),
             Json::Obj(members) => write_seq(out, indent, depth, members.len(), '{', '}', |o, i| {
                 let (k, v) = &members[i];
-                write_escaped(o, k)?;
-                o.write_str(if indent.is_some() { ": " } else { ":" })?;
+                write_escaped(o, k);
+                o.push_str(if indent.is_some() { ": " } else { ":" });
                 v.write(o, indent, depth + 1)
             }),
         }
+    }
+}
+
+/// Starting capacity of a pretty-printed document. Strings are pushed
+/// whole, and a push longer than the free space sizes the buffer to fit
+/// it instead of doubling; from a small start that puts every later
+/// doubling off the powers of two, which cost the full-matrix report
+/// (8 MB of text) 1 MiB of peak RSS. No single push in a report comes
+/// near this size, so from here the capacity only ever doubles. Compact
+/// text (cache keys and entries, a few KB at most) starts empty.
+const OUT_START: usize = 4096;
+
+/// Decimal digits of `u`, without the `fmt` machinery (counters and byte
+/// sizes are most of a report's numbers).
+fn write_u64(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Indentation is pushed as slices of this, not one `char` at a time.
+const SPACES: &str = "                                                                ";
+
+fn write_indent(out: &mut String, mut width: usize) {
+    while width > 0 {
+        let run = width.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        width -= run;
     }
 }
 
@@ -203,12 +261,12 @@ fn write_seq(
     len: usize,
     open: char,
     close: char,
-    mut item: impl FnMut(&mut String, usize) -> fmt::Result,
-) -> fmt::Result {
+    mut item: impl FnMut(&mut String, usize),
+) {
     out.push(open);
     if len == 0 {
         out.push(close);
-        return Ok(());
+        return;
     }
     for i in 0..len {
         if i > 0 {
@@ -216,21 +274,25 @@ fn write_seq(
         }
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
+            write_indent(out, w * (depth + 1));
         }
-        item(out, i)?;
+        item(out, i);
     }
     if let Some(w) = indent {
         out.push('\n');
-        out.extend(std::iter::repeat_n(' ', w * depth));
+        write_indent(out, w * depth);
     }
     out.push(close);
-    Ok(())
 }
 
-fn write_escaped(out: &mut String, s: &str) -> fmt::Result {
-    use fmt::Write;
+fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
+    // Fast path: most strings (names, keys) need no escape at all.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -238,12 +300,14 @@ fn write_escaped(out: &mut String, s: &str) -> fmt::Result {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c if (c as u32) < 0x20 => {
+                use fmt::Write;
+                write!(out, "\\u{:04x}", c as u32).expect("fmt to String cannot fail");
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    Ok(())
 }
 
 impl Json {
@@ -258,28 +322,36 @@ impl Json {
     /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             at: 0,
             depth: 0,
+            items: Vec::new(),
+            members: Vec::new(),
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.at != p.bytes.len() {
+        if p.at != text.len() {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(v)
     }
 }
 
-/// Recursive-descent JSON parser over raw bytes (`at` is a byte offset;
-/// string decoding is the only place multi-byte UTF-8 appears, and it is
-/// copied through verbatim).
+/// Recursive-descent JSON parser over a `&str` (`at` is a byte offset).
+/// Every token boundary is an ASCII byte, so strings and numbers are
+/// sliced straight out of the already-validated input.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     at: usize,
     /// Open arrays/objects around `at`.
     depth: usize,
+    /// Scratch stack of array items: an open array's items sit above
+    /// the height the stack had at its `[`, and its `]` drains them into
+    /// one exact-size `Vec`.
+    items: Vec<Json>,
+    /// The same scratch stack for object members.
+    members: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
@@ -287,8 +359,12 @@ impl<'a> Parser<'a> {
         format!("json parse error at byte {}: {what}", self.at)
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+        self.bytes().get(self.at).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -316,7 +392,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.at..].starts_with(word.as_bytes()) {
             self.at += word.len();
             Ok(value)
         } else {
@@ -350,21 +426,25 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Json, String> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
+        let base = self.items.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.at += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b']') => {
                     self.at += 1;
-                    return Ok(Json::Arr(items));
+                    // `drain(..).collect()` allocates exactly the item
+                    // count (`split_off` would hand back the scratch
+                    // buffer with all its spare capacity).
+                    return Ok(Json::Arr(self.items.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
@@ -373,11 +453,11 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, String> {
         self.eat(b'{')?;
-        let mut members = Vec::new();
+        let base = self.members.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
-            return Ok(Json::Obj(members));
+            return Ok(Json::Obj(Vec::new()));
         }
         loop {
             self.skip_ws();
@@ -386,13 +466,13 @@ impl<'a> Parser<'a> {
             self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            members.push((key, value));
+            self.members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b'}') => {
                     self.at += 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(Json::Obj(self.members.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -401,19 +481,30 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
+        let start = self.at;
+        // Fast path: no escape before the closing quote, so the string is
+        // one slice of the input, copied into one exact-size allocation.
+        // (No byte of a multi-byte UTF-8 sequence can equal '"' or '\\'.)
+        let bytes = self.bytes();
+        if let Some(len) = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') {
+            if bytes[start + len] == b'"' {
+                self.at = start + len + 1;
+                return Ok(self.text[start..start + len].to_owned());
+            }
+        }
+        self.escaped_string()
+    }
+
+    /// The rest of a string that holds an escape (or no closing quote).
+    fn escaped_string(&mut self) -> Result<String, String> {
         let mut out = String::new();
         loop {
             let start = self.at;
-            // Copy unescaped runs through verbatim (multi-byte UTF-8
-            // included — no byte in a multi-byte sequence can equal '"'
-            // or '\\', both < 0x80).
+            // Copy unescaped runs through verbatim.
             while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
                 self.at += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.at])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            out.push_str(&self.text[start..self.at]);
             match self.peek() {
                 Some(b'"') => {
                     self.at += 1;
@@ -436,7 +527,7 @@ impl<'a> Parser<'a> {
                             let c = if (0xd800..0xdc00).contains(&hi) {
                                 // Surrogate pair: the writer never emits
                                 // one, but a conforming reader decodes it.
-                                if !self.bytes[self.at..].starts_with(b"\\u") {
+                                if !self.bytes()[self.at..].starts_with(b"\\u") {
                                     return Err(self.err("unpaired surrogate"));
                                 }
                                 self.at += 2;
@@ -466,9 +557,8 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.at + 4;
         let digits = self
-            .bytes
+            .text
             .get(self.at..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let code = u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.at = end;
@@ -491,16 +581,15 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).expect("ASCII digits");
+        let text = &self.text[start..self.at];
         if integral {
             // Integer literal: keep full 64-bit precision (a u64 counter
-            // above 2^53 must not round through f64).
-            if let Some(digits) = text.strip_prefix('-') {
+            // above 2^53 must not round through f64). A magnitude beyond
+            // the integer range falls through to f64.
+            if text.starts_with('-') {
                 if let Ok(i) = text.parse::<i64>() {
                     return Ok(Json::Int(i));
                 }
-                // Magnitude beyond i64: fall through to f64.
-                let _ = digits;
             } else if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::UInt(u));
             }
